@@ -115,14 +115,18 @@ def _load_matrix(path: str) -> BinaryMatrix:
         raise SystemExitMessage(f"bad matrix file: {exc}")
 
 
-def _budget_default() -> int:
-    raw = os.environ.get("ARS_BUDGET")
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExitMessage(f"ARS_BUDGET must be an integer, got {raw!r}")
+def _budget(args) -> int:
+    """--budget, else ARS_BUDGET, else DEFAULT_BUDGET; never negative."""
+    budget = args.budget
+    if budget is None:
+        raw = os.environ.get("ARS_BUDGET", str(DEFAULT_BUDGET))
+        try:
+            budget = int(raw)
+        except ValueError:
+            raise SystemExitMessage(f"ARS_BUDGET must be an integer, got {raw!r}")
+    if budget < 0:
+        raise SystemExitMessage("--budget must be nonnegative")
+    return budget
 
 
 def _matrix_payload(a: BinaryMatrix, notes: list[str] | None = None) -> dict:
@@ -250,9 +254,7 @@ def _cmd_construct_two_cover(args) -> CommandResult:
 def _cmd_enumerate(args) -> CommandResult:
     r = _parse_partition(args.row_sums, "-r")
     s = _parse_partition(args.col_sums, "-s")
-    budget = args.budget if args.budget is not None else _budget_default()
-    if budget < 0:
-        raise SystemExitMessage("--budget must be nonnegative")
+    budget = _budget(args)
     matrices = []
     count = 0
     truncated = False
@@ -277,7 +279,7 @@ def _cmd_enumerate(args) -> CommandResult:
 def _cmd_uniform_min(args) -> CommandResult:
     r = _parse_partition(args.row_sums, "-r")
     s = _parse_partition(args.col_sums, "-s")
-    budget = args.budget if args.budget is not None else _budget_default()
+    budget = _budget(args)
     outcome = oracle.find_uniform_minimizer(r, s, t_max=args.tmax, budget=budget)
     payload = {
         "kind": "search",

@@ -61,10 +61,8 @@ class Check:
 
 
 def witness_sets() -> dict[int, list[tuple[int, int]]]:
-    """For each t = 1..6, every cell (e, f) with phi == t-table agreement
-    whose cost t*e + f equals the minimum t-term rank."""
-    tv = structure._structure_values(ROW_SUMS, COL_SUMS)
-    pv = structure._phi_values(ROW_SUMS, COL_SUMS)
+    """For each t = 1..6, every realizable prefix cover (e, f) whose cost
+    t*e + f equals the minimum t-term rank."""
     m, n = len(ROW_SUMS), len(COL_SUMS)
     out: dict[int, list[tuple[int, int]]] = {}
     for t, target in MINIMA.items():
@@ -72,7 +70,7 @@ def witness_sets() -> dict[int, list[tuple[int, int]]]:
             (e, f)
             for e in range(m + 1)
             for f in range(n + 1)
-            if pv[e][f] == tv[e][f] and t * e + f == target
+            if t * e + f == target and structure.cover_exists(ROW_SUMS, COL_SUMS, e, f)
         ]
     return out
 
@@ -93,7 +91,7 @@ def verify() -> list[Check]:
         )
     )
 
-    tv = structure._structure_values(ROW_SUMS, COL_SUMS)
+    tv = structure.structure_matrix(ROW_SUMS, COL_SUMS).values
     checks.append(
         Check(
             "structure-table",
@@ -102,7 +100,7 @@ def verify() -> list[Check]:
         )
     )
 
-    pv = structure._phi_values(ROW_SUMS, COL_SUMS)
+    pv = structure.phi_matrix(ROW_SUMS, COL_SUMS).values
     checks.append(
         Check("phi-table", pv == PHI_TABLE, "10x16 phi table matches the frozen reference")
     )

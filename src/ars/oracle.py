@@ -1,5 +1,6 @@
-"""Brute-force ground truth: exhaustive class enumeration and exhaustive
-t-term ranks, independent of the flow and table machinery."""
+"""Brute-force ground truth: exhaustive class enumeration, exhaustive
+t-term ranks and the cover table phi by direct enumeration, independent
+of the flow machinery and of the structure layer's suffix minima."""
 
 from __future__ import annotations
 
@@ -58,6 +59,35 @@ def enumerate_class(
                 return
 
     yield from rec(0)
+
+
+def brute_phi(r: Partition, s: Partition) -> tuple[tuple[int, ...], ...]:
+    """The cover table phi by direct enumeration of its defining minimum
+
+        phi[k][l] = min{ t[i1][l+j2] + t[k+i2][j1] + (k-i1)(l-j1) }
+
+    over 0 <= i1 <= k <= k+i2 <= m and 0 <= j1 <= l <= l+j2 <= n, where
+    t is the structure matrix.  O(m^3 n^2); a reference for
+    structure.phi_matrix and the cover frontier."""
+    t = structure.structure_matrix(r, s).values
+    m, n = len(r), len(s)
+    rows = []
+    for k in range(m + 1):
+        row = []
+        for l in range(n + 1):
+            best = None
+            for i1 in range(k + 1):
+                # t[i1][l+j2] depends on j2 only through this row slice
+                a_min = min(t[i1][l:])
+                for j1 in range(l + 1):
+                    base = a_min + (k - i1) * (l - j1)
+                    b_min = min(t[k + i2][j1] for i2 in range(m - k + 1))
+                    cand = base + b_min
+                    if best is None or cand < best:
+                        best = cand
+            row.append(best)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def brute_t_term_rank(a: BinaryMatrix, t: int) -> int:

@@ -8,12 +8,25 @@ an (m+1)-by-(n+1) integer table indexed from 0.  The companion table phi
 certifies prefix covers: some class member has all its 1s inside the
 first e rows and first f columns exactly when phi[e][f] == t[e][f].  The
 two-cover analogue psi plays the same role for a pair of prefix covers.
+
+With the suffix minima
+
+    A[i][l] = min_{l' >= l} t[i][l']      (along row i)
+    B[k][j] = min_{k' >= k} t[k'][j]      (down column j)
+
+phi[k][l] = min over i1 <= k, j1 <= l of A[i1][l] + B[k][j1] + (k-i1)(l-j1),
+and phi <= t everywhere.  Cover feasibility is upward closed in both e
+and f, so it is fully described by the frontier front[e], the least
+feasible f for e rows; front is nonincreasing and one staircase walk
+finds it in O(m+n) cell probes.  Every criterion except the full phi
+table reads the frontier.  Per class, t, A, B, the Gale-Ryser verdict,
+the frontier and phi are built once and kept in a bounded cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .errors import BadRange, DimensionTooSmall, EmptyClass, WeightMismatch
@@ -58,29 +71,96 @@ class StructureTable:
         return {"kind": self.kind, "values": [list(row) for row in self.values]}
 
 
-def _require_equal_weights(r: Partition, s: Partition) -> None:
-    if r.weight != s.weight:
-        raise WeightMismatch(f"weights differ: {r.weight} vs {s.weight}")
+class _ClassTables:
+    """Everything the structure layer derives from one pair (r, s).
+
+    t, its suffix minima and the Gale-Ryser verdict are built at once in
+    O(mn); the frontier and the full phi table are built on first use.
+    """
+
+    def __init__(self, r: Partition, s: Partition):
+        if r.weight != s.weight:
+            raise WeightMismatch(f"weights differ: {r.weight} vs {s.weight}")
+        m, n = len(r), len(s)
+        pref_s = [0] * (n + 1)
+        for j, v in enumerate(s):
+            pref_s[j + 1] = pref_s[j] + v
+        suf_r = [0] * (m + 2)
+        for i in range(m - 1, -1, -1):
+            suf_r[i + 1] = suf_r[i + 2] + r[i]
+        self.t = tuple(
+            tuple(k * l - pref_s[l] + suf_r[k + 1] for l in range(n + 1))
+            for k in range(m + 1)
+        )
+        self.nonempty = is_nonempty(r, s)
+        row_min = []  # A
+        for row in self.t:
+            acc = list(row)
+            for l in range(n - 1, -1, -1):
+                acc[l] = min(acc[l], acc[l + 1])
+            row_min.append(acc)
+        col_min = [list(self.t[m])]  # B, built from the bottom row up
+        for k in range(m - 1, -1, -1):
+            col_min.append([min(v, w) for v, w in zip(self.t[k], col_min[-1])])
+        col_min.reverse()
+        self.row_min = row_min
+        self.col_min = col_min
+
+    def feasible(self, e: int, f: int) -> bool:
+        """phi[e][f] == t[e][f], stopping at the first (i1, j1) candidate
+        that falls below t[e][f]."""
+        target = self.t[e][f]
+        b = self.col_min[e]
+        for i1 in range(e + 1):
+            gap = target - self.row_min[i1][f]
+            rows = e - i1
+            if any(b[j1] + rows * (f - j1) < gap for j1 in range(f + 1)):
+                return False
+        return True
+
+    @cached_property
+    def frontier(self) -> tuple[int, ...]:
+        # (0, n) is feasible, and so is (e, front[e-1]) by upward closure
+        # in e, so each row starts where the previous one stopped
+        f = len(self.t[0]) - 1
+        front = []
+        for e in range(len(self.t)):
+            while f > 0 and self.feasible(e, f - 1):
+                f -= 1
+            front.append(f)
+        return tuple(front)
+
+    @cached_property
+    def phi(self) -> tuple[tuple[int, ...], ...]:
+        a, b = self.row_min, self.col_min
+        return tuple(
+            tuple(
+                min(
+                    a[i1][l] + b[k][j1] + (k - i1) * (l - j1)
+                    for i1 in range(k + 1)
+                    for j1 in range(l + 1)
+                )
+                for l in range(len(b[k]))
+            )
+            for k in range(len(b))
+        )
 
 
-def _require_nonempty(r: Partition, s: Partition) -> None:
-    if not is_nonempty(r, s):
+@lru_cache(maxsize=32)
+def _class_tables(r: Partition, s: Partition) -> _ClassTables:
+    return _ClassTables(r, s)
+
+
+def clear_table_cache() -> None:
+    """Drop every cached per-class table, so the next call starts cold."""
+    _class_tables.cache_clear()
+
+
+def _nonempty_tables(r: Partition, s: Partition) -> _ClassTables:
+    tables = _class_tables(r, s)
+    if not tables.nonempty:
         raise EmptyClass(f"no matrix has row sums {r.parts} and column sums {s.parts}")
-
-
-@lru_cache(maxsize=None)
-def _structure_values(r: Partition, s: Partition) -> tuple[tuple[int, ...], ...]:
-    m, n = len(r), len(s)
-    pref_s = [0] * (n + 1)
-    for j, v in enumerate(s):
-        pref_s[j + 1] = pref_s[j] + v
-    suf_r = [0] * (m + 2)
-    for i in range(m - 1, -1, -1):
-        suf_r[i + 1] = suf_r[i + 2] + r[i]
-    return tuple(
-        tuple(k * l - pref_s[l] + suf_r[k + 1] for l in range(n + 1))
-        for k in range(m + 1)
-    )
+    return tables
 
 
 def structure_matrix(r: Partition, s: Partition) -> StructureTable:
@@ -89,8 +169,7 @@ def structure_matrix(r: Partition, s: Partition) -> StructureTable:
     Entry (k, l) counts k*l minus the first l column sums plus the last
     m-k row sums; every entry is nonnegative iff the class is nonempty.
     """
-    _require_equal_weights(r, s)
-    return StructureTable(values=_structure_values(r, s), kind="T")
+    return StructureTable(values=_class_tables(r, s).t, kind="T")
 
 
 def nonempty_by_structure(table: StructureTable) -> bool:
@@ -101,79 +180,54 @@ def nonempty_by_structure(table: StructureTable) -> bool:
     return table.min_entry() >= 0
 
 
-@lru_cache(maxsize=None)
-def _phi_values(r: Partition, s: Partition) -> tuple[tuple[int, ...], ...]:
-    t = _structure_values(r, s)
-    m, n = len(r), len(s)
-    rows = []
-    for k in range(m + 1):
-        row = []
-        for l in range(n + 1):
-            best = None
-            for i1 in range(k + 1):
-                # t[i1][l+j2] depends on j2 only through this row slice
-                a_min = min(t[i1][l:])
-                for j1 in range(l + 1):
-                    base = a_min + (k - i1) * (l - j1)
-                    b_min = min(t[k + i2][j1] for i2 in range(m - k + 1))
-                    cand = base + b_min
-                    if best is None or cand < best:
-                        best = cand
-            row.append(best)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 def phi_matrix(r: Partition, s: Partition) -> StructureTable:
     """The cover-certificate table phi.
 
     phi[k][l] = min{ t[i1][l+j2] + t[k+i2][j1] + (k-i1)(l-j1) } over all
-    0 <= i1 <= k <= k+i2 <= m and 0 <= j1 <= l <= l+j2 <= n, minimized by
-    direct enumeration.  Requires a nonempty class.
+    0 <= i1 <= k <= k+i2 <= m and 0 <= j1 <= l <= l+j2 <= n.  The free
+    j2 and i2 are taken out by the suffix minima A[i1][l] and B[k][j1]
+    (see the module docstring), leaving a minimum over (i1, j1) per cell:
+    O(m^2 n^2) for the whole table.  Requires a nonempty class.
     """
-    _require_equal_weights(r, s)
-    _require_nonempty(r, s)
-    return StructureTable(values=_phi_values(r, s), kind="Phi")
+    return StructureTable(values=_nonempty_tables(r, s).phi, kind="Phi")
+
+
+def cover_frontier(r: Partition, s: Partition) -> tuple[int, ...]:
+    """front[e] = the least f such that some class member has all its 1s
+    inside the first e rows and first f columns, for e = 0..m.
+
+    Nonincreasing in e; found by one staircase walk over the cells of
+    the frontier, O(m+n) probes of phi[e][f] == t[e][f], each stopping at
+    the first candidate below t[e][f].  Requires a nonempty class.
+    """
+    return _nonempty_tables(r, s).frontier
 
 
 def cover_exists(r: Partition, s: Partition, e: int, f: int) -> bool:
     """True iff some class member has all its 1s inside the first e rows
-    and first f columns, i.e. phi[e][f] == t[e][f]."""
-    _require_equal_weights(r, s)
-    _require_nonempty(r, s)
+    and first f columns, i.e. phi[e][f] == t[e][f].  Feasibility is
+    upward closed in e and f, so this is f >= cover_frontier(r, s)[e]."""
+    tables = _nonempty_tables(r, s)
     m, n = len(r), len(s)
     if not (0 <= e <= m and 0 <= f <= n):
         raise BadRange(f"cover ({e},{f}) out of range for {m}x{n}")
-    return _phi_values(r, s)[e][f] == _structure_values(r, s)[e][f]
+    return f >= tables.frontier[e]
 
 
 def min_t_term_rank(r: Partition, s: Partition, t: int) -> tuple[int, tuple[int, int]]:
     """Minimum t-term rank over the class, with one witness (e, f).
 
     The value is min{ t*e + f } over all cells where phi and the
-    structure matrix agree.  Ties break toward the smallest e, then the
+    structure matrix agree; for each e the cheapest such cell is
+    (e, front[e]) on the cover frontier, so this is an O(m) scan once
+    the frontier is known.  Ties break toward the smallest e, then the
     smallest f.
     """
     if t < 1:
         raise ValueError("t must be a positive integer")
-    _require_equal_weights(r, s)
-    _require_nonempty(r, s)
-    tv = _structure_values(r, s)
-    pv = _phi_values(r, s)
-    m, n = len(r), len(s)
-    best: int | None = None
-    witness: tuple[int, int] | None = None
-    for e in range(m + 1):
-        for f in range(n + 1):
-            if pv[e][f] != tv[e][f]:
-                continue
-            value = t * e + f
-            if best is None or value < best:
-                best = value
-                witness = (e, f)
-    # the cell (m, n) always qualifies, so a minimum exists
-    assert best is not None and witness is not None
-    return best, witness
+    front = cover_frontier(r, s)
+    best, e = min((t * e + f, e) for e, f in enumerate(front))
+    return best, (e, front[e])
 
 
 def psi(r: Partition, s: Partition, a: int, b: int, c: int, d: int) -> int:
@@ -185,33 +239,28 @@ def psi(r: Partition, s: Partition, a: int, b: int, c: int, d: int) -> int:
           + (a-i1)(d-c-j2) + (b-a-i2)(c-j1) + (a-i1)(c-j1)
 
     over 0 <= i1 <= a <= a+i2 <= b <= b+i3 <= m and
-    0 <= j1 <= c <= c+j2 <= d <= d+j3 <= n, by direct enumeration.
+    0 <= j1 <= c <= c+j2 <= d <= d+j3 <= n.  The free j3 and i3 are
+    taken out by the suffix minima A[i1][d] and B[b][j1].  The two j1
+    terms share the factor c-j1, so j1 is minimized once for each value
+    of b-i1-i2, leaving O(bc + a(b-a)(d-c)) work.
     """
-    _require_equal_weights(r, s)
+    tables = _class_tables(r, s)
     m, n = len(r), len(s)
     if not (0 <= a < b <= m):
         raise BadRange(f"need 0 <= a < b <= m, got a={a}, b={b}, m={m}")
     if not (0 <= c < d <= n):
         raise BadRange(f"need 0 <= c < d <= n, got c={c}, d={d}, n={n}")
-    t = _structure_values(r, s)
-    first_min = [min(t[i1][d:]) for i1 in range(a + 1)]  # best j3 per i1
-    third_min = [min(t[b + i3][j1] for i3 in range(m - b + 1)) for j1 in range(c + 1)]
-    best = None
-    for i1 in range(a + 1):
-        for i2 in range(b - a + 1):
-            for j1 in range(c + 1):
-                partial = (
-                    first_min[i1]
-                    + third_min[j1]
-                    + (b - a - i2) * (c - j1)
-                    + (a - i1) * (c - j1)
-                )
-                for j2 in range(d - c + 1):
-                    cand = partial + t[a + i2][c + j2] + (a - i1) * (d - c - j2)
-                    if best is None or cand < best:
-                        best = cand
-    assert best is not None
-    return best
+    t, row_min = tables.t, tables.row_min
+    col_b = tables.col_min[b]
+    # (b-a-i2)(c-j1) + (a-i1)(c-j1) = (b-i1-i2)(c-j1)
+    best_j1 = [min(col_b[j1] + z * (c - j1) for j1 in range(c + 1)) for z in range(b + 1)]
+    return min(
+        row_min[i1][d]
+        + best_j1[b - i1 - i2]
+        + min(t[a + i2][c + j2] + (a - i1) * (d - c - j2) for j2 in range(d - c + 1))
+        for i1 in range(a + 1)
+        for i2 in range(b - a + 1)
+    )
 
 
 def two_cover_exists(
@@ -220,9 +269,7 @@ def two_cover_exists(
     """True iff some class member is simultaneously covered by its first e
     rows plus f columns and by its first e' rows plus f' columns
     (e' < e, f < f').  Criterion: psi_{e',e;f,f'} >= t[e][f] + t[e'][f']."""
-    _require_equal_weights(r, s)
-    _require_nonempty(r, s)
-    t = _structure_values(r, s)
+    t = _nonempty_tables(r, s).t
     value = psi(r, s, e_prime, e, f, f_prime)
     return value >= t[e][f] + t[e_prime][f_prime]
 
@@ -249,12 +296,8 @@ def uniform_minimizer_hypotheses(
     m, n = len(r), len(s)
     if m <= 2 or n <= 2:
         raise DimensionTooSmall("needs more than two rows and two columns")
-    _require_equal_weights(r, s)
-    _require_nonempty(r, s)
-    tv = _structure_values(r, s)
-    pv = _phi_values(r, s)
-    f = next(l for l in range(n + 1) if pv[2][l] == tv[2][l])
-    f_prime = next(l for l in range(n + 1) if pv[1][l] == tv[1][l])
+    front = cover_frontier(r, s)
+    f, f_prime = front[2], front[1]
     holds = 1 <= f < f_prime < n and s.part(f - 1) == 1
     if holds:
         for k in range(1, t + 1):

@@ -20,6 +20,7 @@ from ars import (
     modified_ryser,
     multi_cover_feasible,
     nonempty_by_structure,
+    phi_matrix,
     psi,
     structure_matrix,
     t_term_rank,
@@ -42,8 +43,7 @@ def _report(number: int, name: str, detail: str) -> None:
 
 
 def _clear_table_caches() -> None:
-    structure._structure_values.cache_clear()
-    structure._phi_values.cache_clear()
+    structure.clear_table_cache()
 
 
 def test_criterion_1_counterexample_minima():
@@ -65,8 +65,8 @@ def test_criterion_1_counterexample_minima():
 
 def test_criterion_2_counterexample_tables():
     _clear_table_caches()
-    tv = structure._structure_values(R_REF, S_REF)
-    pv = structure._phi_values(R_REF, S_REF)
+    tv = structure_matrix(R_REF, S_REF).values
+    pv = phi_matrix(R_REF, S_REF).values
     assert tv == counterexample.STRUCTURE_TABLE
     assert pv == counterexample.PHI_TABLE
     assert tv[0][0] == 27 and tv[3][3] == 8 and tv[9][15] == 108
@@ -172,13 +172,12 @@ def test_criterion_6_inequality_properties(small_classes):
         m, n = len(r), len(s)
         if m <= 2 or n <= 2:
             continue
-        tv = structure._structure_values(r, s)
-        pv = structure._phi_values(r, s)
+        tv = structure_matrix(r, s).values
         for f in range(1, n):
-            if s.part(f - 1) != 1 or pv[2][f] != tv[2][f]:
+            if s.part(f - 1) != 1 or not cover_exists(r, s, 2, f):
                 continue
             for f_prime in range(f + 1, n):
-                if pv[1][f_prime] != tv[1][f_prime]:
+                if not cover_exists(r, s, 1, f_prime):
                     continue
                 cover_instances += 1
                 assert psi(r, s, 1, 2, f, f_prime) >= tv[1][f_prime] + tv[2][f]

@@ -156,6 +156,12 @@ def test_bad_tmax_is_usage_error(capsys):
     assert "positive" in capsys.readouterr().err
 
 
+def test_negative_budget_is_usage_error(capsys):
+    for command in ("enumerate", "uniform-min"):
+        assert main([command, "-r", "2,1", "-s", "2,1", "--budget", "-1"]) == 2
+        assert "--budget must be nonnegative" in capsys.readouterr().err
+
+
 def test_enumerate_empty_class():
     result = run(["enumerate", "-r", "2,2", "-s", "3,1"])
     assert result.status == "infeasible" and result.payload["count"] == 0

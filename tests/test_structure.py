@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from ars import (
     Partition,
+    BinaryMatrix,
     cover_exists,
     is_nonempty,
     min_t_term_rank,
@@ -17,6 +19,10 @@ from ars import (
     uniform_minimizer_hypotheses,
 )
 from ars.errors import BadRange, DimensionTooSmall, EmptyClass, WeightMismatch
+from ars.oracle import brute_phi
+from ars.structure import cover_frontier
+
+from helpers import matrices
 
 R_REF = Partition((6, 5, 4, 3, 3, 2, 2, 1, 1))
 S_REF = Partition((7, 3, 3, 2, 2) + (1,) * 10)
@@ -179,6 +185,20 @@ def test_psi_matches_brute_on_small_pairs(small_pairs):
                 assert psi(r, s, a, b, c, d) == psi_brute(r, s, a, b, c, d)
 
 
+def test_psi_matches_brute_on_seeded_classes():
+    rng = random.Random(1962)
+    for _ in range(25):
+        m, n = rng.randint(2, 7), rng.randint(2, 7)
+        grid = [[rng.randint(0, 1) for _ in range(n)] for _ in range(m)]
+        for row in grid:  # no empty row, so the class keeps m rows
+            row[rng.randrange(n)] = 1
+        r, s = margins(BinaryMatrix(grid))
+        for _ in range(20):
+            lo, hi = sorted(rng.sample(range(len(r) + 1), 2))
+            left, right = sorted(rng.sample(range(len(s) + 1), 2))
+            assert psi(r, s, lo, hi, left, right) == psi_brute(r, s, lo, hi, left, right)
+
+
 def test_psi_two_cover_witness_inequality():
     # the worked 7x9 instance carries covers (3 rows, 3 cols) and (2 rows, 4 cols)
     t = structure_matrix(R_69, S_69)
@@ -215,20 +235,17 @@ def test_two_cover_exists_worked_instance():
 def test_implied_two_cover_inequality(small_classes):
     """Whenever phi pins tight columns f < f' for two rows and one row,
     with unit column sums from f on, the two-cover criterion follows."""
-    from ars.structure import _phi_values, _structure_values
-
     instances = 0
     for (r, s) in small_classes:
         m, n = len(r), len(s)
         if m <= 2 or n <= 2:
             continue
-        tv = _structure_values(r, s)
-        pv = _phi_values(r, s)
+        tv = structure_matrix(r, s).values
         for f in range(1, n):
-            if s.part(f - 1) != 1 or pv[2][f] != tv[2][f]:
+            if s.part(f - 1) != 1 or not cover_exists(r, s, 2, f):
                 continue
             for f_prime in range(f + 1, n):
-                if pv[1][f_prime] != tv[1][f_prime]:
+                if not cover_exists(r, s, 1, f_prime):
                     continue
                 instances += 1
                 assert psi(r, s, 1, 2, f, f_prime) >= tv[1][f_prime] + tv[2][f]
@@ -284,3 +301,67 @@ def test_tables_render_with_headers():
     assert lines[0].split() == ["0", "1", "2"]
     assert lines[1].split()[0] == "0"
     assert len(lines) == 4
+
+
+# three fixed 20x25 classes, margins of random matrices of density 0.2,
+# 0.4 and 0.6
+LARGE_PAIRS = [
+    (Partition((11, 9, 8, 7, 7, 6, 6, 6, 6, 5, 5, 5, 5, 5, 4, 4, 4, 4, 3, 3)),
+     Partition((8, 8, 8, 7, 7, 6, 5, 5, 5, 5, 5, 5, 5, 4, 4, 4, 4, 3, 3, 3, 3, 2, 2, 1, 1))),
+    (Partition((15, 15, 14, 13, 13, 12, 12, 11, 11, 11, 10, 10, 10, 10, 10, 10, 10, 10, 9, 9)),
+     Partition((13, 13, 13, 12, 11, 11, 11, 10, 10, 9, 9, 9, 9, 8, 8, 8, 8, 8, 7, 7, 7, 7,
+                6, 6, 5))),
+    (Partition((19, 18, 17, 16, 16, 16, 16, 15, 15, 15, 15, 15, 14, 14, 13, 13, 11, 11, 11, 10)),
+     Partition((16, 14, 14, 13, 13, 13, 13, 13, 13, 12, 12, 12, 12, 12, 12, 10, 10, 10, 10, 10,
+                10, 10, 9, 9, 8))),
+]
+
+
+def margins(a):
+    return Partition.from_loose(a.row_sums), Partition.from_loose(a.col_sums)
+
+
+def assert_tables_match_brute_phi(r, s):
+    """phi, the cover frontier, cover_exists and the minimum t-term ranks
+    with their witnesses all agree with the directly enumerated phi."""
+    m, n = len(r), len(s)
+    brute = brute_phi(r, s)
+    tv = structure_matrix(r, s).values
+    front = cover_frontier(r, s)
+    assert all(a >= b for a, b in zip(front, front[1:]))
+    for e in range(m + 1):
+        for f in range(n + 1):
+            assert cover_exists(r, s, e, f) == (brute[e][f] == tv[e][f])
+    for t in range(1, r.part(0) + 1):
+        value, e, f = min(
+            (t * e + f, e, f)
+            for e in range(m + 1)
+            for f in range(n + 1)
+            if brute[e][f] == tv[e][f]
+        )
+        assert min_t_term_rank(r, s, t) == (value, (e, f))
+    assert phi_matrix(r, s).values == brute
+
+
+@given(matrices(max_m=9, max_n=9))
+@settings(max_examples=100, deadline=None)
+def test_tables_match_brute_phi_random(a):
+    assert_tables_match_brute_phi(*margins(a))
+
+
+def test_tables_match_brute_phi_seeded():
+    rng = random.Random(2006)
+    for _ in range(150):
+        m, n, density = rng.randint(1, 9), rng.randint(1, 9), rng.uniform(0.1, 0.9)
+        a = BinaryMatrix([[int(rng.random() < density) for _ in range(n)] for _ in range(m)])
+        assert_tables_match_brute_phi(*margins(a))
+
+
+@pytest.mark.parametrize("r, s", LARGE_PAIRS)
+def test_tables_match_brute_phi_large(r, s):
+    assert (len(r), len(s)) == (20, 25)
+    assert_tables_match_brute_phi(r, s)
+
+
+def test_phi_reference_matches_brute():
+    assert brute_phi(R_REF, S_REF) == phi_matrix(R_REF, S_REF).values
