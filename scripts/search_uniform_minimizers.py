@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from ars import (
     construct_uniform_minimizer,
@@ -20,25 +19,17 @@ from ars import (
 )
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    max_dim: int = 4
-    max_weight: int = 8
-    enumeration_budget: int = 200_000
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-dim", type=int, default=SearchConfig.max_dim)
-    parser.add_argument("--max-weight", type=int, default=SearchConfig.max_weight)
-    parser.add_argument("--budget", type=int, default=SearchConfig.enumeration_budget)
+    parser.add_argument("--max-dim", type=int, default=4)
+    parser.add_argument("--max-weight", type=int, default=8)
+    parser.add_argument("--budget", type=int, default=200_000)
     args = parser.parse_args()
-    config = SearchConfig(args.max_dim, args.max_weight, args.budget)
 
     holders = 0
     failures = 0
-    for w in range(1, config.max_weight + 1):
-        ps = list(iter_partitions(config.max_dim, w))
+    for w in range(1, args.max_weight + 1):
+        ps = list(iter_partitions(args.max_dim, w))
         for r in ps:
             if len(r) <= 2:
                 continue
@@ -53,7 +44,7 @@ def main() -> int:
                 built = construct_uniform_minimizer(r, s, t_max)
                 targets = [min_t_term_rank(r, s, k)[0] for k in range(1, t_max + 1)]
                 ranks = [t_term_rank(built, k) for k in range(1, t_max + 1)]
-                searched = find_uniform_minimizer(r, s, budget=config.enumeration_budget)
+                searched = find_uniform_minimizer(r, s, budget=args.budget)
                 ok = ranks == targets and searched.matrix is not None
                 if not ok:
                     failures += 1

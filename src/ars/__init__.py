@@ -2,10 +2,8 @@
 sums: feasibility, structure tables, minimum t-term ranks, network-flow
 rank computation, and cover-constrained constructions."""
 
-from .binmat import BinaryMatrix, CoverSpec, apply_interchange, in_class, is_covered, min_cover_value
+from .binmat import BinaryMatrix, CoverSpec, apply_interchange, in_class, is_covered
 from .construct import (
-    SortPermutation,
-    TwoCoverParts,
     canonical_column_submatrix,
     construct_uniform_minimizer,
     interchange_path,
@@ -14,12 +12,16 @@ from .construct import (
     two_cover_matrix,
     two_cover_parts,
 )
-from .flow import FlowNetwork, build_t_rank_network, feasible_bounded, multi_cover_feasible, t_term_rank
-from .oracle import SearchOutcome, brute_min_t_term_rank, brute_t_term_rank, enumerate_class, find_uniform_minimizer
+from .flow import build_t_rank_network, feasible_bounded, multi_cover_feasible, t_term_rank
+from .oracle import (
+    brute_min_t_term_rank,
+    brute_t_term_rank,
+    enumerate_class,
+    find_uniform_minimizer,
+    min_cover_value,
+)
 from .partition import Partition, conjugate, is_nonempty, iter_partitions, majorized_by, margins_realizable
 from .structure import (
-    StructureTable,
-    UniformMinimizerHypotheses,
     cover_exists,
     min_t_term_rank,
     nonempty_by_structure,
@@ -35,13 +37,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BinaryMatrix",
     "CoverSpec",
-    "FlowNetwork",
     "Partition",
-    "SearchOutcome",
-    "SortPermutation",
-    "StructureTable",
-    "TwoCoverParts",
-    "UniformMinimizerHypotheses",
     "apply_interchange",
     "brute_min_t_term_rank",
     "brute_t_term_rank",

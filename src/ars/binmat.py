@@ -1,9 +1,8 @@
-"""The (0,1)-matrix value type, class membership, interchanges, and
-exhaustive cover search."""
+"""The (0,1)-matrix value type, class membership, interchanges and
+covers."""
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
@@ -36,10 +35,6 @@ class BinaryMatrix:
         self.n = n
         self.row_sums = tuple(sum(row) for row in grid)
         self.col_sums = tuple(sum(row[j] for row in grid) for j in range(n))
-
-    @classmethod
-    def zero(cls, m: int, n: int) -> "BinaryMatrix":
-        return cls([[0] * n for _ in range(m)])
 
     @classmethod
     def from_text(cls, text: str) -> "BinaryMatrix":
@@ -178,30 +173,3 @@ def is_covered(a: BinaryMatrix, cover: CoverSpec) -> bool:
     rows = cover.row_set(a.m)
     cols = cover.col_set(a.n)
     return all(i in rows or j in cols for i, j in a.ones())
-
-
-def min_cover_value(a: BinaryMatrix, t: int) -> tuple[int, CoverSpec]:
-    """Minimize t*e + f over all covers of a with e rows and f columns.
-
-    Exhaustive over row subsets; for a fixed row subset the cheapest
-    column set is forced (the columns still containing a 1).  Ties break
-    toward the smallest e, then the lexicographically smallest row set.
-    Intended for small matrices.
-    """
-    if t < 1:
-        raise ValueError("t must be a positive integer")
-    col_rows = [frozenset(i for i in range(a.m) if a.rows[i][j]) for j in range(a.n)]
-    best_value: int | None = None
-    best: CoverSpec | None = None
-    for e in range(a.m + 1):
-        if best_value is not None and t * e >= best_value:
-            break  # every larger row set costs at least t*e
-        for chosen in itertools.combinations(range(a.m), e):
-            row_set = frozenset(chosen)
-            residual_cols = tuple(j for j in range(a.n) if col_rows[j] - row_set)
-            value = t * e + len(residual_cols)
-            if best_value is None or value < best_value:
-                best_value = value
-                best = CoverSpec(e=e, f=len(residual_cols), rows=chosen, cols=residual_cols)
-    assert best is not None and best_value is not None
-    return best_value, best

@@ -12,7 +12,16 @@ from typing import Any
 
 from . import construct, counterexample, flow, oracle, structure
 from .binmat import BinaryMatrix
-from .errors import ArsError, EmptyClass, InfeasibleShift, ResidualInfeasible
+from .errors import (
+    ArsError,
+    BadCoverOrder,
+    BadRange,
+    DimensionMismatch,
+    EmptyClass,
+    InfeasibleShift,
+    ResidualInfeasible,
+    WeightMismatch,
+)
 from .partition import Partition, is_nonempty
 
 DEFAULT_BUDGET = 1_000_000
@@ -393,13 +402,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _dispatch(args) -> CommandResult:
     try:
         return args.handler(args)
-    except (EmptyClass, InfeasibleShift, ResidualInfeasible) as exc:
+    except (EmptyClass, InfeasibleShift, ResidualInfeasible, WeightMismatch) as exc:
+        # an unequal-weight class is empty
         return CommandResult("infeasible", {"kind": "message", "message": str(exc)})
+    except (BadRange, BadCoverOrder, DimensionMismatch, ValueError) as exc:
+        # indices out of range, uncrossed covers, t < 1 and the like are
+        # usage errors
+        raise SystemExitMessage(str(exc))
     except ArsError as exc:
         return CommandResult("error", {"kind": "message", "message": str(exc)})
-    except ValueError as exc:
-        # bad scalar arguments (t < 1 and the like) are usage errors
-        raise SystemExitMessage(str(exc))
 
 
 def run(argv: list[str] | None = None) -> CommandResult:

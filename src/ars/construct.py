@@ -21,32 +21,10 @@ from .partition import Partition, is_nonempty, margins_realizable
 from . import flow, structure
 
 
-@dataclass(frozen=True)
-class SortPermutation:
-    """A stable descending sort of an integer sequence.
-
-    order[i] is the source index of the i-th largest value; equal values
-    keep their original relative order, so un-permuting is well defined.
-    """
-
-    order: tuple[int, ...]
-
-    @classmethod
-    def for_sequence(cls, seq: Sequence[int]) -> "SortPermutation":
-        return cls(tuple(sorted(range(len(seq)), key=lambda i: -seq[i])))
-
-    def apply(self, seq: Sequence[int]) -> tuple[int, ...]:
-        return tuple(seq[i] for i in self.order)
-
-    def unsort_grid(self, grid: Sequence[Sequence[int]], col_perm: "SortPermutation"):
-        """Undo this row sort and col_perm's column sort on a grid."""
-        rows = len(self.order)
-        cols = len(col_perm.order)
-        out = [[0] * cols for _ in range(rows)]
-        for i in range(rows):
-            for j in range(cols):
-                out[self.order[i]][col_perm.order[j]] = grid[i][j]
-        return out
+def _descending_order(seq: Sequence[int]) -> list[int]:
+    """Indices of seq by decreasing value; a stable sort, so equal values
+    keep their original relative order."""
+    return sorted(range(len(seq)), key=lambda i: -seq[i])
 
 
 def _pick_rows(sums: Sequence[int], amount: int) -> list[int]:
@@ -126,16 +104,20 @@ def _residual_core(
     of the sorted pair, and un-permutes it back into the original row and
     column order.  Returns (unsorted grid, canonical matrix as built).
     """
-    perm_r = SortPermutation.for_sequence(rbar)
-    perm_c = SortPermutation.for_sequence(sbar)
-    sorted_r = perm_r.apply(rbar)
-    sorted_c = perm_c.apply(sbar)
+    order_r = _descending_order(rbar)
+    order_c = _descending_order(sbar)
+    sorted_r = tuple(rbar[i] for i in order_r)
+    sorted_c = tuple(sbar[j] for j in order_c)
     if not margins_realizable(sorted_r, sorted_c):
         raise ResidualInfeasible(
             f"residual margins {tuple(rbar)} / {tuple(sbar)} admit no matrix"
         )
     grid, _ = _shift_block(sorted_r, sorted_c, len(rbar), 0)
-    return perm_r.unsort_grid(grid, perm_c), BinaryMatrix(grid)
+    core = [[0] * len(sbar) for _ in rbar]
+    for i, row in zip(order_r, grid):
+        for j, v in zip(order_c, row):
+            core[i][j] = v
+    return core, BinaryMatrix(grid)
 
 
 def _paste(grid: list[list[int]], top: int, left: int, rows: Sequence[Sequence[int]]):

@@ -97,20 +97,25 @@ class FlowNetwork:
             total += pushed
 
 
-def source_node() -> int:
-    return 0
+def _transport_network(
+    row_caps: Sequence[int], col_caps: Sequence[int], cells: Iterable[tuple[int, int, int]]
+) -> tuple[FlowNetwork, list[int]]:
+    """The transportation network source -> rows -> columns -> sink.
 
-
-def row_node(i: int) -> int:
-    return 1 + i
-
-
-def col_node(m: int, j: int) -> int:
-    return 1 + m + j
-
-
-def sink_node(m: int, n: int) -> int:
-    return 1 + m + n
+    Node 0 is the source, row i is node 1+i, column j is node 1+m+j and
+    the sink is node 1+m+n.  Edges go in as source->row i with capacity
+    row_caps[i], then row i->column j with capacity cap for each cell
+    (i, j, cap), then column j->sink with capacity col_caps[j].  Returns
+    the network and the ids of the cell edges, in the order of cells.
+    """
+    m, n = len(row_caps), len(col_caps)
+    net = FlowNetwork(num_nodes=m + n + 2, source=0, sink=1 + m + n)
+    for i, cap in enumerate(row_caps):
+        net.add_edge(net.source, 1 + i, cap)
+    cell_edges = [net.add_edge(1 + i, 1 + m + j, cap) for i, j, cap in cells]
+    for j, cap in enumerate(col_caps):
+        net.add_edge(1 + m + j, net.sink, cap)
+    return net, cell_edges
 
 
 def build_t_rank_network(a: BinaryMatrix, t: int) -> FlowNetwork:
@@ -122,14 +127,7 @@ def build_t_rank_network(a: BinaryMatrix, t: int) -> FlowNetwork:
     """
     if t < 1:
         raise ValueError("t must be a positive integer")
-    m, n = a.m, a.n
-    net = FlowNetwork(num_nodes=m + n + 2, source=source_node(), sink=sink_node(m, n))
-    for i in range(m):
-        net.add_edge(net.source, row_node(i), t)
-    for i, j in a.ones():
-        net.add_edge(row_node(i), col_node(m, j), 1)
-    for j in range(n):
-        net.add_edge(col_node(m, j), net.sink, 1)
+    net, _ = _transport_network([t] * a.m, [1] * a.n, ((i, j, 1) for i, j in a.ones()))
     return net
 
 
@@ -160,22 +158,14 @@ def feasible_bounded(
         raise ValueError("bounds must be nonnegative")
     if r.weight != s.weight:
         return None
-    net = FlowNetwork(num_nodes=m + n + 2, source=source_node(), sink=sink_node(m, n))
-    for i in range(m):
-        net.add_edge(net.source, row_node(i), r[i])
-    eid = [[None] * n for _ in range(m)]
-    for i in range(m):
-        for j in range(n):
-            if c[i][j] > 0:
-                eid[i][j] = net.add_edge(row_node(i), col_node(m, j), c[i][j])
-    for j in range(n):
-        net.add_edge(col_node(m, j), net.sink, s[j])
+    cells = [(i, j, c[i][j]) for i in range(m) for j in range(n) if c[i][j] > 0]
+    net, cell_edges = _transport_network(r.parts, s.parts, cells)
     if net.max_flow() != r.weight:
         return None
-    entries = tuple(
-        tuple(0 if eid[i][j] is None else net.flow_on(eid[i][j]) for j in range(n))
-        for i in range(m)
-    )
+    grid = [[0] * n for _ in range(m)]
+    for (i, j, _), eid in zip(cells, cell_edges):
+        grid[i][j] = net.flow_on(eid)
+    entries = tuple(map(tuple, grid))
     if all(v <= 1 for row in c for v in row):
         return BinaryMatrix(entries)
     return entries

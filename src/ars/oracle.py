@@ -1,6 +1,7 @@
 """Brute-force ground truth: exhaustive class enumeration, exhaustive
-t-term ranks and the cover table phi by direct enumeration, independent
-of the flow machinery and of the structure layer's suffix minima."""
+t-term ranks, the exhaustive minimum cover of a matrix and the cover
+table phi by direct enumeration, independent of the flow machinery and
+of the structure layer's suffix minima."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import flow, structure
-from .binmat import BinaryMatrix
+from .binmat import BinaryMatrix, CoverSpec
 from .errors import EmptyClass
 from .partition import Partition, is_nonempty, margins_realizable
 
@@ -115,6 +116,33 @@ def brute_t_term_rank(a: BinaryMatrix, t: int) -> int:
         return value
 
     return best(0, (0,) * a.m)
+
+
+def min_cover_value(a: BinaryMatrix, t: int) -> tuple[int, CoverSpec]:
+    """Minimize t*e + f over all covers of a with e rows and f columns.
+
+    Exhaustive over row subsets; for a fixed row subset the cheapest
+    column set is forced (the columns still containing a 1).  Ties break
+    toward the smallest e, then the lexicographically smallest row set.
+    Intended for small matrices.
+    """
+    if t < 1:
+        raise ValueError("t must be a positive integer")
+    col_rows = [frozenset(i for i in range(a.m) if a.rows[i][j]) for j in range(a.n)]
+    best_value: int | None = None
+    best: CoverSpec | None = None
+    for e in range(a.m + 1):
+        if best_value is not None and t * e >= best_value:
+            break  # every larger row set costs at least t*e
+        for chosen in itertools.combinations(range(a.m), e):
+            row_set = frozenset(chosen)
+            residual_cols = tuple(j for j in range(a.n) if col_rows[j] - row_set)
+            value = t * e + len(residual_cols)
+            if best_value is None or value < best_value:
+                best_value = value
+                best = CoverSpec(e=e, f=len(residual_cols), rows=chosen, cols=residual_cols)
+    assert best is not None and best_value is not None
+    return best_value, best
 
 
 def brute_min_t_term_rank(r: Partition, s: Partition, t: int) -> int:

@@ -1,11 +1,18 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ars import BinaryMatrix
 from ars.cli import main, run
+
+from helpers import matrices
 
 FLOW_EXAMPLE_TEXT = "3 4\n1 1 1 1\n1 0 0 0\n1 0 0 0\n"
 
@@ -113,10 +120,10 @@ def test_construct_two_cover_infeasible():
     assert result.status == "infeasible"
 
 
-def test_construct_two_cover_bad_order():
-    result = run(["construct-two-cover", "-r", "2,1", "-s", "2,1",
-                  "--cover", "1,1", "--cover", "2,2"])
-    assert result.status == "error"
+def test_construct_two_cover_bad_order(capsys):
+    assert main(["construct-two-cover", "-r", "2,1", "-s", "2,1",
+                 "--cover", "1,1", "--cover", "2,2"]) == 2
+    assert capsys.readouterr().err.startswith("error: cover (1, 1) dominates (2, 2)")
 
 
 def test_enumerate_matrices_round_trip():
@@ -210,8 +217,19 @@ def test_json_rendering_is_byte_stable(capsys):
 def test_exit_codes(capsys):
     assert main(["nonempty", "-r", "2,2", "-s", "3,1"]) == 0  # infeasible is data
     capsys.readouterr()
-    assert main(["psi", "-r", "2,1", "-s", "2,1", "-a", "1", "-b", "1", "-c", "0", "-d", "1"]) == 1
-    capsys.readouterr()
+    # out-of-range or uncrossed user input is a usage error
+    for argv in (
+        ["construct-cover", "-r", "2,1", "-s", "2,1", "-e", "5", "-f", "0"],
+        ["construct-two-cover", "-r", "2,1", "-s", "2,1", "--cover", "3,0", "--cover", "1,1"],
+        ["psi", "-r", "2,1", "-s", "2,1", "-a", "1", "-b", "1", "-c", "0", "-d", "1"],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    # a class whose weights differ is empty
+    assert main(["--json", "min-rank", "-r", "2", "-s", "1", "-t", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "infeasible"
 
 
 def test_bad_partition_is_usage_error(capsys):
@@ -234,3 +252,69 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "6 (witness e=3, f=3)"
+
+
+# argv fragments for the CLI fuzz test: each strategy draws a token list
+PARTITION_TEXT = st.lists(st.integers(1, 4), max_size=4).map(
+    lambda parts: ",".join(map(str, sorted(parts, reverse=True)))
+)
+SMALL_INT = st.integers(-1, 5).map(str)
+
+
+def _flag(name, values):
+    return values.map(lambda value: [name, value])
+
+
+def _optional(tokens):
+    return st.just([]) | tokens
+
+
+PAIR = [_flag("-r", PARTITION_TEXT), _flag("-s", PARTITION_TEXT)]
+COVER = _flag("--cover", st.tuples(SMALL_INT, SMALL_INT).map(",".join))
+COMMAND_ARGS = {
+    "nonempty": PAIR,
+    "canonical": PAIR,
+    "structure": PAIR,
+    "phi": PAIR,
+    "psi": PAIR + [_flag(f"-{name}", SMALL_INT) for name in "abcd"],
+    "min-rank": PAIR + [_flag("-t", SMALL_INT)],
+    "rank": [_flag("-t", SMALL_INT), st.just(["--matrix", "-"])],
+    "construct-cover": PAIR + [_flag("-e", SMALL_INT), _flag("-f", SMALL_INT)],
+    "construct-two-cover": PAIR + [COVER, _optional(COVER), _optional(COVER)],
+    "enumerate": PAIR + [
+        _optional(_flag("--budget", SMALL_INT)), _optional(st.just(["--count"]))
+    ],
+    "uniform-min": PAIR + [
+        _optional(_flag("--tmax", SMALL_INT)), _optional(_flag("--budget", SMALL_INT))
+    ],
+    "verify-counterexample": [],
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_ARGS)))
+    argv = ["--json"] if draw(st.booleans()) else []
+    argv.append(command)
+    for tokens in COMMAND_ARGS[command]:
+        argv.extend(draw(tokens))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_argv(), matrices(max_m=4, max_n=4))
+def test_cli_fuzz_keeps_exit_contract(argv, stdin_matrix):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(stdin_matrix.to_text())), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected argv
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+    elif argv[0] == "--json":
+        status = json.loads(out.getvalue())["status"]
+        assert status in ("ok", "infeasible", "undetermined", "error")
