@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import islice
 
 from ars import (
     construct_uniform_minimizer,
@@ -14,7 +15,7 @@ from ars import (
     is_nonempty,
     iter_partitions,
     min_t_term_rank,
-    t_term_rank,
+    t_term_ranks,
     uniform_minimizer_hypotheses,
 )
 
@@ -43,7 +44,7 @@ def main() -> int:
                 holders += 1
                 built = construct_uniform_minimizer(r, s, t_max)
                 targets = [min_t_term_rank(r, s, k)[0] for k in range(1, t_max + 1)]
-                ranks = [t_term_rank(built, k) for k in range(1, t_max + 1)]
+                ranks = list(islice(t_term_ranks(built), t_max))
                 searched = find_uniform_minimizer(r, s, budget=args.budget)
                 ok = ranks == targets and searched.matrix is not None
                 if not ok:

@@ -12,7 +12,7 @@ from .construct import (
     two_cover_matrix,
     two_cover_parts,
 )
-from .flow import build_t_rank_network, feasible_bounded, multi_cover_feasible, t_term_rank
+from .flow import build_t_rank_network, feasible_bounded, multi_cover_feasible, t_term_rank, t_term_ranks
 from .oracle import (
     brute_min_t_term_rank,
     brute_t_term_rank,
@@ -66,6 +66,7 @@ __all__ = [
     "ryser_canonical",
     "structure_matrix",
     "t_term_rank",
+    "t_term_ranks",
     "two_cover_exists",
     "two_cover_matrix",
     "two_cover_parts",

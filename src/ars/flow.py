@@ -1,10 +1,19 @@
 """Network-flow computations: the t-term rank of a fixed matrix and
-feasibility of margin problems with entrywise capacity bounds."""
+feasibility of margin problems with entrywise capacity bounds.
+
+The t-term rank is a bipartite b-matching (each column takes at most one
+1, each row at most t), computed by a bitmask augmenting-path kernel
+that warm-starts from t to t+1.  The transportation network
+(`FlowNetwork`, Edmonds-Karp) serves `feasible_bounded`, and through
+`build_t_rank_network` it is the independent oracle the rank kernel is
+tested against.
+"""
 
 from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import islice, repeat
 
 from .binmat import BinaryMatrix, CoverSpec
 from .errors import DimensionMismatch
@@ -123,7 +132,8 @@ def build_t_rank_network(a: BinaryMatrix, t: int) -> FlowNetwork:
 
     Source feeds each row with capacity t; a unit edge joins row i to
     column j exactly where a has a 1; each column drains to the sink with
-    capacity 1.
+    capacity 1.  `t_term_rank` does not use it; it is the reference the
+    rank kernel is tested against.
     """
     if t < 1:
         raise ValueError("t must be a positive integer")
@@ -131,10 +141,88 @@ def build_t_rank_network(a: BinaryMatrix, t: int) -> FlowNetwork:
     return net
 
 
+def t_term_ranks(a: BinaryMatrix) -> Iterator[int]:
+    """Yield the t-term ranks of a for t = 1, 2, ... (without end).
+
+    A bipartite b-matching over bitmask rows: owner[j] is the row that
+    selected column j (-1 while j is free) and load[i] counts the columns
+    row i selected.  Step t keeps the selection of step t-1, which stays
+    feasible when the row quota grows, and only adds to it: a greedy pass
+    hands free columns to rows below quota, then each row below quota
+    grows by augmenting paths (Kuhn) found by an iterative depth-first
+    search.  Columns seen by a failed search stay marked until the next
+    success, since no free column is reachable through them.  A search
+    visits each column at most once and each step has one success per
+    column it adds, so steps 1..t cost O((rank + t) * n + t * m)
+    operations on n-bit masks.  Once no row is at quota, no step can add
+    a column, so the rank is repeated from then on.
+    """
+    adj = [sum(1 << j for j, v in enumerate(row) if v) for row in a.rows]
+    m = a.m
+    owner = [-1] * a.n
+    load = [0] * m
+    free = (1 << a.n) - 1
+    rank = 0
+    t = 0
+    while True:
+        t += 1
+        for i in range(m):
+            take = adj[i] & free
+            while take and load[i] < t:
+                bit = take & -take
+                take ^= bit
+                free ^= bit
+                owner[bit.bit_length() - 1] = i
+                load[i] += 1
+                rank += 1
+        visited = 0
+        for start in range(m):
+            while load[start] < t:
+                # rows[k] takes cols[k] from rows[k+1]; the last column is
+                # free.  A step into a column its row already holds just
+                # re-enters that row, so the path stays valid.
+                rows, cols = [start], []
+                while rows:
+                    i = rows[-1]
+                    hit = adj[i] & free
+                    if hit:
+                        cols.append(hit & -hit)
+                        break
+                    cand = adj[i] & ~visited
+                    if cand:
+                        bit = cand & -cand
+                        visited |= bit
+                        cols.append(bit)
+                        rows.append(owner[bit.bit_length() - 1])
+                    else:
+                        rows.pop()
+                        if cols:
+                            cols.pop()
+                if not rows:
+                    break
+                for i, bit in zip(rows, cols):
+                    owner[bit.bit_length() - 1] = i
+                free ^= cols[-1]
+                load[start] += 1
+                rank += 1
+                visited = 0
+        yield rank
+        if t not in load:
+            break
+    yield from repeat(rank)
+
+
 def t_term_rank(a: BinaryMatrix, t: int) -> int:
     """Maximum number of 1s of a selectable with at most one per column
-    and at most t per row, computed as a max flow."""
-    return build_t_rank_network(a, t).max_flow()
+    and at most t per row.
+
+    Read from `t_term_ranks`; t is clamped to the largest row sum, beyond
+    which the quota binds no row, so any t costs at most that many steps.
+    """
+    if t < 1:
+        raise ValueError("t must be a positive integer")
+    steps = max(1, min(t, max(a.row_sums, default=0)))
+    return next(islice(t_term_ranks(a), steps - 1, None))
 
 
 IntMatrix = tuple[tuple[int, ...], ...]

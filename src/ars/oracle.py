@@ -187,6 +187,6 @@ def find_uniform_minimizer(
         if budget is not None and scanned >= budget:
             return SearchOutcome(matrix=None, complete=False, scanned=scanned)
         scanned += 1
-        if all(flow.t_term_rank(a, k + 1) == targets[k] for k in range(t_max)):
+        if all(want == got for want, got in zip(targets, flow.t_term_ranks(a))):
             return SearchOutcome(matrix=a, complete=True, scanned=scanned)
     return SearchOutcome(matrix=None, complete=True, scanned=scanned)

@@ -83,6 +83,16 @@ def test_rank_from_file(tmp_path):
     assert result.payload == {"kind": "rank", "value": 3, "cross_checked": True}
 
 
+def test_rank_huge_t(tmp_path, capsys):
+    path = tmp_path / "ex3.txt"
+    path.write_text(FLOW_EXAMPLE_TEXT)
+    assert main(["--json", "rank", "-t", "4", "--matrix", str(path)]) == 0
+    at_largest_row_sum = capsys.readouterr().out
+    assert main(["--json", "rank", "-t", "1000000000", "--matrix", str(path)]) == 0
+    assert capsys.readouterr().out == at_largest_row_sum
+    assert json.loads(at_largest_row_sum)["payload"]["value"] == 4
+
+
 def test_rank_from_stdin(monkeypatch):
     import io
 

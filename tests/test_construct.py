@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +30,7 @@ from ars.errors import (
     EmptyClass,
     InfeasibleShift,
     NotSameClass,
+    VerificationFailed,
 )
 
 R_69 = Partition((4, 2, 2, 2, 1, 1, 1))
@@ -263,6 +266,13 @@ def test_uniform_minimizer_reference_pair_absent():
     r = Partition((6, 5, 4, 3, 3, 2, 2, 1, 1))
     s = Partition((7, 3, 3, 2, 2) + (1,) * 10)
     assert construct_uniform_minimizer(r, s, 6) is None
+
+
+def test_uniform_minimizer_mismatch_raises():
+    r, s = Partition((2, 1, 1)), Partition((1, 1, 1, 1))
+    with mock.patch("ars.flow.t_term_ranks", return_value=iter([3, 5])):
+        with pytest.raises(VerificationFailed, match="built matrix has 2-term rank 5, class minimum is 4"):
+            construct_uniform_minimizer(r, s, 2)
 
 
 def test_uniform_minimizer_small_instance():

@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from ars import (
     min_cover_value,
     multi_cover_feasible,
     t_term_rank,
+    t_term_ranks,
 )
 from ars.binmat import CoverSpec
 from ars.errors import DimensionMismatch
@@ -78,6 +80,61 @@ def test_rank_identity():
 def test_rank_rejects_bad_t():
     with pytest.raises(ValueError):
         t_term_rank(FLOW_EXAMPLE, 0)
+
+
+def test_rank_huge_t_clamps_to_largest_row_sum():
+    for a in (FLOW_EXAMPLE, BinaryMatrix([[0, 0], [0, 0]]), BinaryMatrix([[1] * 5] * 2)):
+        top = max(1, max(a.row_sums))
+        assert t_term_rank(a, 10**9) == t_term_rank(a, top)
+
+
+@st.composite
+def sparse_matrices(draw, max_m=12, max_n=12):
+    """Matrices up to max_m x max_n, 0x0 and m x 0 included, with some
+    rows and columns forced empty."""
+    m = draw(st.integers(0, max_m))
+    n = draw(st.integers(0, max_n)) if m else 0
+    dead_rows = draw(st.sets(st.integers(0, max(m - 1, 0)), max_size=m))
+    dead_cols = draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n))
+    rows = [
+        [0 if i in dead_rows or j in dead_cols else draw(st.integers(0, 1)) for j in range(n)]
+        for i in range(m)
+    ]
+    return BinaryMatrix(rows)
+
+
+@given(sparse_matrices(), st.integers(1, 6))
+@settings(max_examples=200, deadline=None)
+def test_rank_kernel_matches_network_oracle(a, k):
+    """The b-matching kernel against Edmonds-Karp on the t-rank network,
+    per t and as one warm-started sequence."""
+    want = [build_t_rank_network(a, t).max_flow() for t in range(1, k + 1)]
+    assert [t_term_rank(a, t) for t in range(1, k + 1)] == want
+    assert list(islice(t_term_ranks(a), k)) == want
+
+
+def test_rank_kernel_matches_scipy_and_networkx():
+    """Square matrices of side 50-300 against two external max-flow
+    codes on the same transportation network."""
+    np = pytest.importorskip("numpy")
+    sparse = pytest.importorskip("scipy.sparse")
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(20261018)
+    for side, density in ((50, 0.04), (120, 0.018), (200, 0.01), (300, 0.006)):
+        a = BinaryMatrix(
+            [[1 if rng.random() < density else 0 for _ in range(side)] for _ in range(side)]
+        )
+        ranks = list(islice(t_term_ranks(a), 3))
+        for t, rank in zip((1, 2, 3), ranks):
+            net = build_t_rank_network(a, t)
+            edges = [(u, v, cap) for u, v, cap, _ in net.edges()]
+            u, v, cap = (np.array(col, dtype=np.int32) for col in zip(*edges))
+            graph = sparse.csr_matrix((cap, (u, v)), shape=(net.num_nodes, net.num_nodes))
+            assert csgraph.maximum_flow(graph, net.source, net.sink, method="dinic").flow_value == rank
+            g = nx.DiGraph()
+            g.add_weighted_edges_from(edges, weight="capacity")
+            assert nx.maximum_flow_value(g, net.source, net.sink) == rank
 
 
 def test_rank_equalities_exhaustive_small():
