@@ -4,7 +4,7 @@ covers."""
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidInterchange
 from .partition import Partition
@@ -98,20 +98,29 @@ class BinaryMatrix:
         return f"BinaryMatrix({list(map(list, self.rows))})"
 
 
-@dataclass(frozen=True)
-class CoverSpec:
-    """A cover by e rows and f columns.  Without explicit index sets the
-    prefix rows 0..e-1 and columns 0..f-1 are meant."""
-
+class _CoverFields(NamedTuple):
     e: int
     f: int
     rows: tuple[int, ...] | None = None
     cols: tuple[int, ...] | None = None
 
-    def __post_init__(self):
-        if self.e < 0 or self.f < 0:
+
+class CoverSpec(_CoverFields):
+    """A cover by e rows and f columns.  Without explicit index sets the
+    prefix rows 0..e-1 and columns 0..f-1 are meant."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        e: int,
+        f: int,
+        rows: tuple[int, ...] | None = None,
+        cols: tuple[int, ...] | None = None,
+    ) -> "CoverSpec":
+        if e < 0 or f < 0:
             raise ValueError("cover sizes must be nonnegative")
-        for name, idx, size in (("rows", self.rows, self.e), ("cols", self.cols, self.f)):
+        for name, idx, size in (("rows", rows, e), ("cols", cols, f)):
             if idx is None:
                 continue
             if len(set(idx)) != len(idx):
@@ -120,6 +129,7 @@ class CoverSpec:
                 raise ValueError(f"{name} set size disagrees with declared count")
             if any(i < 0 for i in idx):
                 raise ValueError(f"negative index in {name}")
+        return super().__new__(cls, e, f, rows, cols)
 
     @classmethod
     def prefix(cls, e: int, f: int) -> "CoverSpec":

@@ -1,5 +1,8 @@
 """Command-line surface: one subcommand per library operation plus the
-reference-class verification."""
+reference-class verification.
+
+Each handler imports the layers it calls, so one call loads only what
+its command needs."""
 
 from __future__ import annotations
 
@@ -7,11 +10,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
-from . import construct, counterexample, flow, oracle, structure
-from .binmat import BinaryMatrix
 from .errors import (
     ArsError,
     BadCoverOrder,
@@ -24,11 +24,13 @@ from .errors import (
 )
 from .partition import Partition, is_nonempty
 
+if TYPE_CHECKING:
+    from .binmat import BinaryMatrix
+
 DEFAULT_BUDGET = 1_000_000
 
 
-@dataclass
-class CommandResult:
+class CommandResult(NamedTuple):
     """Outcome of one CLI invocation; the JSON and human renderings are
     produced from the same payload."""
 
@@ -39,66 +41,74 @@ class CommandResult:
         return json.dumps({"status": self.status, "payload": self.payload}, sort_keys=True)
 
     def render_text(self) -> str:
-        kind = self.payload.get("kind") if isinstance(self.payload, dict) else None
-        lines: list[str] = []
+        p = self.payload
+        kind = p.get("kind") if isinstance(p, dict) else None
         if kind == "message":
-            lines.append(f"{self.status}: {self.payload['message']}")
-        elif kind == "verdict":
-            lines.append("nonempty" if self.payload["nonempty"] else "empty class")
-            lines.append(f"  gale-ryser majorization: {self.payload['gale_ryser']}")
-            if self.payload["structure_nonnegative"] is not None:
-                lines.append(
-                    f"  structure matrix nonnegative: {self.payload['structure_nonnegative']}"
-                )
-            if not self.payload["weights_equal"]:
-                lines.append("  (weights differ; structure criterion not applicable)")
-        elif kind == "matrix":
-            lines.append(_matrix_text(self.payload["matrix"]))
-            for note in self.payload.get("notes", []):
-                lines.append(f"# {note}")
-        elif kind == "table":
-            lines.append(_table_text(self.payload["table"]))
-        elif kind == "value":
-            lines.append(str(self.payload["value"]))
-        elif kind == "min_rank":
-            e, f = self.payload["witness"]["e"], self.payload["witness"]["f"]
-            lines.append(f"{self.payload['value']} (witness e={e}, f={f})")
-        elif kind == "rank":
-            suffix = " (cross-checked)" if self.payload["cross_checked"] else ""
-            lines.append(f"{self.payload['value']}{suffix}")
-        elif kind == "matrices":
-            for obj in self.payload.get("matrices", []):
-                lines.append(_matrix_text(obj))
-                lines.append("")
-            lines.append(f"count {self.payload['count']}")
-            if self.payload["truncated"]:
-                lines.append("# stopped at budget; enumeration incomplete")
-        elif kind == "search":
-            if self.payload["matrix"] is not None:
-                lines.append(_matrix_text(self.payload["matrix"]))
-            elif self.payload["complete"]:
-                lines.append("absent: no class member realizes every minimum")
-            else:
-                lines.append("undetermined by enumeration (budget exhausted)")
-            lines.append(f"# scanned {self.payload['scanned']} matrices")
-        elif kind == "report":
-            for check in self.payload["checks"]:
-                word = "PASS" if check["passed"] else "FAIL"
-                lines.append(f"{word} {check['name']}: {check['detail']}")
-            lines.append(
-                "all checks passed" if self.payload["all_passed"] else "SOME CHECKS FAILED"
-            )
-        else:
-            lines.append(json.dumps(self.payload, sort_keys=True))
-        return "\n".join(lines)
+            return f"{self.status}: {p['message']}"
+        render = _TEXT.get(kind)
+        return render(p) if render else json.dumps(p, sort_keys=True)
+
+
+# the text rendering of each payload kind but "message"
+
+
+def _verdict_text(p: dict) -> str:
+    lines = ["nonempty" if p["nonempty"] else "empty class",
+             f"  gale-ryser majorization: {p['gale_ryser']}"]
+    if p["structure_nonnegative"] is not None:
+        lines.append(f"  structure matrix nonnegative: {p['structure_nonnegative']}")
+    if not p["weights_equal"]:
+        lines.append("  (weights differ; structure criterion not applicable)")
+    return "\n".join(lines)
+
+
+def _matrices_text(p: dict) -> str:
+    lines = [f"{_matrix_text(obj)}\n" for obj in p.get("matrices", [])]
+    lines.append(f"count {p['count']}")
+    if p["truncated"]:
+        lines.append("# stopped at budget; enumeration incomplete")
+    return "\n".join(lines)
+
+
+def _search_text(p: dict) -> str:
+    if p["matrix"] is not None:
+        found = _matrix_text(p["matrix"])
+    elif p["complete"]:
+        found = "absent: no class member realizes every minimum"
+    else:
+        found = "undetermined by enumeration (budget exhausted)"
+    return f"{found}\n# scanned {p['scanned']} matrices"
+
+
+def _report_text(p: dict) -> str:
+    lines = [f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}: {c['detail']}"
+             for c in p["checks"]]
+    lines.append("all checks passed" if p["all_passed"] else "SOME CHECKS FAILED")
+    return "\n".join(lines)
+
+
+_TEXT = {
+    "verdict": _verdict_text,
+    "matrix": lambda p: "\n".join([_matrix_text(p["matrix"])]
+                                  + [f"# {note}" for note in p.get("notes", [])]),
+    "table": lambda p: _table_text(p["table"]),
+    "value": lambda p: str(p["value"]),
+    "min_rank": lambda p: f"{p['value']} (witness e={p['witness']['e']}, f={p['witness']['f']})",
+    "rank": lambda p: f"{p['value']}{' (cross-checked)' if p['cross_checked'] else ''}",
+    "matrices": _matrices_text,
+    "search": _search_text,
+    "report": _report_text,
+}
 
 
 def _matrix_text(obj: dict) -> str:
+    from .binmat import BinaryMatrix
     return BinaryMatrix.from_json_obj(obj).to_text()
 
 
 def _table_text(obj: dict) -> str:
-    return structure.StructureTable(
+    from .structure import StructureTable
+    return StructureTable(
         values=tuple(tuple(row) for row in obj["values"]), kind=obj["kind"]
     ).render()
 
@@ -115,6 +125,7 @@ class SystemExitMessage(Exception):
 
 
 def _load_matrix(path: str) -> BinaryMatrix:
+    from .binmat import BinaryMatrix
     try:
         text = sys.stdin.read() if path == "-" else open(path).read()
         return BinaryMatrix.from_text(text)
@@ -146,6 +157,7 @@ def _matrix_payload(a: BinaryMatrix, notes: list[str] | None = None) -> dict:
 
 
 def _cmd_nonempty(args) -> CommandResult:
+    from . import structure
     r = _parse_partition(args.row_sums, "-r")
     s = _parse_partition(args.col_sums, "-s")
     verdict = is_nonempty(r, s)
@@ -165,12 +177,14 @@ def _cmd_nonempty(args) -> CommandResult:
 
 
 def _cmd_canonical(args) -> CommandResult:
+    from . import construct
     r = _parse_partition(args.row_sums, "-r")
     s = _parse_partition(args.col_sums, "-s")
     return CommandResult("ok", _matrix_payload(construct.ryser_canonical(r, s)))
 
 
 def _cmd_table(args) -> CommandResult:
+    from . import structure
     r = _parse_partition(args.row_sums, "-r")
     s = _parse_partition(args.col_sums, "-s")
     builder = structure.phi_matrix if args.which == "phi" else structure.structure_matrix
@@ -179,6 +193,7 @@ def _cmd_table(args) -> CommandResult:
 
 
 def _cmd_psi(args) -> CommandResult:
+    from . import structure
     r = _parse_partition(args.row_sums, "-r")
     s = _parse_partition(args.col_sums, "-s")
     value = structure.psi(r, s, args.a, args.b, args.c, args.d)
@@ -186,6 +201,7 @@ def _cmd_psi(args) -> CommandResult:
 
 
 def _cmd_min_rank(args) -> CommandResult:
+    from . import structure
     r = _parse_partition(args.row_sums, "-r")
     s = _parse_partition(args.col_sums, "-s")
     value, (e, f) = structure.min_t_term_rank(r, s, args.t)
@@ -194,10 +210,12 @@ def _cmd_min_rank(args) -> CommandResult:
 
 
 def _cmd_rank(args) -> CommandResult:
+    from . import flow
     a = _load_matrix(args.matrix)
     value = flow.t_term_rank(a, args.t)
     cross_checked = False
     if a.m <= 6 and a.n <= 6:
+        from . import oracle
         brute = oracle.brute_t_term_rank(a, args.t)
         if brute != value:
             return CommandResult(
@@ -212,6 +230,7 @@ def _cmd_rank(args) -> CommandResult:
 
 
 def _cmd_construct_cover(args) -> CommandResult:
+    from . import construct, structure
     r = _parse_partition(args.row_sums, "-r")
     s = _parse_partition(args.col_sums, "-s")
     if not structure.cover_exists(r, s, args.e, args.f):
@@ -239,6 +258,7 @@ def _parse_cover(text: str) -> tuple[int, int]:
 
 
 def _cmd_construct_two_cover(args) -> CommandResult:
+    from . import construct, structure
     r = _parse_partition(args.row_sums, "-r")
     s = _parse_partition(args.col_sums, "-s")
     if len(args.cover) != 2:
@@ -261,6 +281,7 @@ def _cmd_construct_two_cover(args) -> CommandResult:
 
 
 def _cmd_enumerate(args) -> CommandResult:
+    from . import oracle
     r = _parse_partition(args.row_sums, "-r")
     s = _parse_partition(args.col_sums, "-s")
     budget = _budget(args)
@@ -286,6 +307,7 @@ def _cmd_enumerate(args) -> CommandResult:
 
 
 def _cmd_uniform_min(args) -> CommandResult:
+    from . import oracle
     r = _parse_partition(args.row_sums, "-r")
     s = _parse_partition(args.col_sums, "-s")
     budget = _budget(args)
@@ -302,6 +324,7 @@ def _cmd_uniform_min(args) -> CommandResult:
 
 
 def _cmd_verify_counterexample(args) -> CommandResult:
+    from . import counterexample
     checks = counterexample.verify()
     payload = {
         "kind": "report",

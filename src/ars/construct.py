@@ -5,7 +5,7 @@ zero-block construction."""
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .binmat import BinaryMatrix
 from .errors import (
@@ -151,8 +151,7 @@ def modified_ryser(r: Partition, s: Partition, e: int, f: int) -> BinaryMatrix:
     return BinaryMatrix(grid)
 
 
-@dataclass(frozen=True)
-class TwoCoverParts:
+class TwoCoverParts(NamedTuple):
     """Intermediate pieces of the two-cover construction.
 
     cover_wide is the cover with fewer rows and more columns (e1, f1);

@@ -13,8 +13,8 @@ nonexistence claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from . import flow, structure
 from .partition import Partition, is_nonempty
@@ -53,8 +53,7 @@ MINIMA = {1: 6, 2: 9, 3: 11, 4: 13, 5: 14, 6: 15}
 WITNESSES = {1: (3, 3), 2: (2, 5), 3: (2, 5), 4: (1, 9), 5: (1, 9), 6: (0, 15)}
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     detail: str

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import flow, structure
 from .binmat import BinaryMatrix, CoverSpec
@@ -152,8 +152,7 @@ def brute_min_t_term_rank(r: Partition, s: Partition, t: int) -> int:
     return min(brute_t_term_rank(a, t) for a in enumerate_class(r, s))
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     """Result of an enumeration search.
 
     matrix is None when no witness was found; complete tells whether the
@@ -172,15 +171,16 @@ def find_uniform_minimizer(
     """Scan the class for a matrix whose k-term rank meets the class
     minimum for every k = 1..t_max.
 
-    Ranks stabilize once k reaches the largest row sum, so the default
-    t_max of R_1 certifies all k >= 1.
+    Ranks and class minima stabilize once k reaches the largest row sum
+    R_1, so t_max is clamped to R_1 (1 for an empty class), which is
+    also its default: checking k <= R_1 certifies all k >= 1.
     """
     if not is_nonempty(r, s):
         raise EmptyClass(f"no matrix has row sums {r.parts} and column sums {s.parts}")
-    if t_max is None:
-        t_max = r.parts[0] if r.parts else 1
-    if t_max < 1:
+    if t_max is not None and t_max < 1:
         raise ValueError("t_max must be a positive integer")
+    r1 = r.parts[0] if r.parts else 1
+    t_max = r1 if t_max is None else min(t_max, r1)
     targets = [structure.min_t_term_rank(r, s, k)[0] for k in range(1, t_max + 1)]
     scanned = 0
     for a in enumerate_class(r, s):

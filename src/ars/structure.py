@@ -25,7 +25,6 @@ the frontier and phi are built once and kept in a bounded cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -33,12 +32,35 @@ from .errors import BadRange, DimensionTooSmall, EmptyClass, WeightMismatch
 from .partition import Partition, is_nonempty
 
 
-@dataclass(frozen=True)
 class StructureTable:
-    """An (m+1)-by-(n+1) integer table, kind "T" or "Phi"."""
+    """An immutable (m+1)-by-(n+1) integer table, kind "T" or "Phi"."""
 
-    values: tuple[tuple[int, ...], ...]
-    kind: str
+    __slots__ = ("values", "kind")
+
+    def __init__(self, values: tuple[tuple[int, ...], ...], kind: str):
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "kind", kind)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.values, self.kind) == (other.values, other.kind)
+
+    def __hash__(self) -> int:
+        return hash((self.values, self.kind))
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, not through __setattr__
+        return StructureTable, (self.values, self.kind)
+
+    def __repr__(self) -> str:
+        return f"StructureTable(values={self.values!r}, kind={self.kind!r})"
 
     @property
     def m(self) -> int:

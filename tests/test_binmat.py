@@ -143,12 +143,20 @@ def test_is_covered_monotone(a, data):
 
 
 def test_cover_spec_validation():
-    with pytest.raises(ValueError):
-        CoverSpec(e=2, f=0, rows=(0,))
-    with pytest.raises(ValueError):
-        CoverSpec(e=2, f=0, rows=(1, 1))
-    with pytest.raises(ValueError):
-        CoverSpec(e=-1, f=0)
+    for args, message in (
+        ((2, 0, (0,), None), "rows set size"),
+        ((0, 1, None, (0, 1)), "cols set size"),
+        ((2, 0, (1, 1), None), "duplicate rows"),
+        ((0, 2, None, (4, 4)), "duplicate cols"),
+        ((-1, 0, None, None), "nonnegative"),
+        ((0, -2, None, None), "nonnegative"),
+        ((1, 0, (-1,), None), "negative index in rows"),
+    ):
+        e, f, rows, cols = args
+        with pytest.raises(ValueError, match=message):
+            CoverSpec(e=e, f=f, rows=rows, cols=cols)
+        with pytest.raises(ValueError, match=message):
+            CoverSpec(*args)
     with pytest.raises(ValueError):
         is_covered(BinaryMatrix([[1]]), CoverSpec(e=1, f=0, rows=(3,)))
 

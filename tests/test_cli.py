@@ -192,6 +192,15 @@ def test_uniform_min_found():
     )
 
 
+def test_uniform_min_huge_tmax(capsys):
+    argv = ["--json", "uniform-min", "-r", "2,1", "-s", "2,1", "--tmax"]
+    assert main(argv + ["2"]) == 0  # the largest row sum
+    at_largest_row_sum = capsys.readouterr().out
+    assert main(argv + ["1000000000"]) == 0
+    assert capsys.readouterr().out == at_largest_row_sum
+    assert json.loads(at_largest_row_sum)["status"] == "ok"
+
+
 def test_uniform_min_undetermined_on_budget():
     result = run(["uniform-min", "-r", R_REF, "-s", S_REF, "--budget", "5"])
     assert result.status == "undetermined"

@@ -110,6 +110,31 @@ def test_find_uniform_minimizer_default_tmax():
         )[0]
 
 
+def test_find_uniform_minimizer_clamps_tmax(small_classes):
+    # checked against ranks up to R_1 + 2: ranks and class minima are
+    # constant for k >= R_1, so any larger t_max gives the same answer.
+    # In the five-column classes the first member matching every k is
+    # not the first matching k = 1.
+    wide = [
+        (Partition((3, 2, 1)), Partition((2, 1, 1, 1, 1))),
+        (Partition((4, 2, 1)), Partition((2, 2, 1, 1, 1))),
+        (Partition((3, 2, 1, 1)), Partition((3, 1, 1, 1, 1))),
+    ]
+    classes = dict(small_classes)
+    classes.update((pair, tuple(enumerate_class(*pair))) for pair in wide)
+    for (r, s), members in classes.items():
+        ks = range(1, r[0] + 3)
+        targets = [min_t_term_rank(r, s, k)[0] for k in ks]
+        hits = [i for i, a in enumerate(members) if [t_term_rank(a, k) for k in ks] == targets]
+        out = find_uniform_minimizer(r, s, t_max=10**9)
+        assert out.complete
+        if hits:
+            assert out.matrix == members[hits[0]] and out.scanned == hits[0] + 1
+        else:
+            assert out.matrix is None and out.scanned == len(members)
+        assert find_uniform_minimizer(r, s) == out
+
+
 def test_find_uniform_minimizer_budget_exhaustion():
     r = Partition((6, 5, 4, 3, 3, 2, 2, 1, 1))
     s = Partition((7, 3, 3, 2, 2) + (1,) * 10)
