@@ -5,10 +5,9 @@ infeasibility search backing the no-uniform-minimizer claim."""
 
 from __future__ import annotations
 
-import itertools
 import sys
 
-from ars import counterexample, min_t_term_rank, multi_cover_feasible, phi_matrix, structure_matrix
+from ars import counterexample, min_t_term_rank, phi_matrix, structure_matrix
 
 R = counterexample.ROW_SUMS
 S = counterexample.COL_SUMS
@@ -32,11 +31,8 @@ def main() -> int:
         print(f"  t={t}: {value}  (witness {witness}; factorizations: {alts})")
 
     print("\nprefix-cover combinations (one witness per t):")
-    combos = list(itertools.product(*(sets[t] for t in range(1, 7))))
     all_absent = True
-    for combo in combos:
-        covers = sorted(set(combo))
-        feasible = multi_cover_feasible(R, S, covers) is not None
+    for covers, feasible in counterexample.witness_combinations():
         all_absent &= not feasible
         verdict = "REALIZABLE (unexpected!)" if feasible else "jointly unrealizable"
         print(f"  {covers}: {verdict}")

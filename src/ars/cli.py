@@ -127,7 +127,11 @@ class SystemExitMessage(Exception):
 def _load_matrix(path: str) -> BinaryMatrix:
     from .binmat import BinaryMatrix
     try:
-        text = sys.stdin.read() if path == "-" else open(path).read()
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path) as fh:
+                text = fh.read()
         return BinaryMatrix.from_text(text)
     except OSError as exc:
         raise SystemExitMessage(f"cannot read matrix: {exc}")
@@ -149,6 +153,10 @@ def _budget(args) -> int:
     return budget
 
 
+def _message(status: str, text: str) -> CommandResult:
+    return CommandResult(status, {"kind": "message", "message": text})
+
+
 def _matrix_payload(a: BinaryMatrix, notes: list[str] | None = None) -> dict:
     payload = {"kind": "matrix", "matrix": a.to_json_obj()}
     if notes:
@@ -156,10 +164,8 @@ def _matrix_payload(a: BinaryMatrix, notes: list[str] | None = None) -> dict:
     return payload
 
 
-def _cmd_nonempty(args) -> CommandResult:
+def _cmd_nonempty(args, r: Partition, s: Partition) -> CommandResult:
     from . import structure
-    r = _parse_partition(args.row_sums, "-r")
-    s = _parse_partition(args.col_sums, "-s")
     verdict = is_nonempty(r, s)
     weights_equal = r.weight == s.weight
     by_table = None
@@ -176,34 +182,26 @@ def _cmd_nonempty(args) -> CommandResult:
     return CommandResult("ok" if verdict else "infeasible", payload)
 
 
-def _cmd_canonical(args) -> CommandResult:
+def _cmd_canonical(args, r: Partition, s: Partition) -> CommandResult:
     from . import construct
-    r = _parse_partition(args.row_sums, "-r")
-    s = _parse_partition(args.col_sums, "-s")
     return CommandResult("ok", _matrix_payload(construct.ryser_canonical(r, s)))
 
 
-def _cmd_table(args) -> CommandResult:
+def _cmd_table(args, r: Partition, s: Partition) -> CommandResult:
     from . import structure
-    r = _parse_partition(args.row_sums, "-r")
-    s = _parse_partition(args.col_sums, "-s")
     builder = structure.phi_matrix if args.which == "phi" else structure.structure_matrix
     table = builder(r, s)
     return CommandResult("ok", {"kind": "table", "table": table.to_json_obj()})
 
 
-def _cmd_psi(args) -> CommandResult:
+def _cmd_psi(args, r: Partition, s: Partition) -> CommandResult:
     from . import structure
-    r = _parse_partition(args.row_sums, "-r")
-    s = _parse_partition(args.col_sums, "-s")
     value = structure.psi(r, s, args.a, args.b, args.c, args.d)
     return CommandResult("ok", {"kind": "value", "value": value})
 
 
-def _cmd_min_rank(args) -> CommandResult:
+def _cmd_min_rank(args, r: Partition, s: Partition) -> CommandResult:
     from . import structure
-    r = _parse_partition(args.row_sums, "-r")
-    s = _parse_partition(args.col_sums, "-s")
     value, (e, f) = structure.min_t_term_rank(r, s, args.t)
     payload = {"kind": "min_rank", "value": value, "witness": {"e": e, "f": f}}
     return CommandResult("ok", payload)
@@ -218,29 +216,17 @@ def _cmd_rank(args) -> CommandResult:
         from . import oracle
         brute = oracle.brute_t_term_rank(a, args.t)
         if brute != value:
-            return CommandResult(
-                "error",
-                {
-                    "kind": "message",
-                    "message": f"flow rank {value} disagrees with brute force {brute}",
-                },
-            )
+            return _message("error", f"flow rank {value} disagrees with brute force {brute}")
         cross_checked = True
     return CommandResult("ok", {"kind": "rank", "value": value, "cross_checked": cross_checked})
 
 
-def _cmd_construct_cover(args) -> CommandResult:
+def _cmd_construct_cover(args, r: Partition, s: Partition) -> CommandResult:
     from . import construct, structure
-    r = _parse_partition(args.row_sums, "-r")
-    s = _parse_partition(args.col_sums, "-s")
     if not structure.cover_exists(r, s, args.e, args.f):
-        return CommandResult(
+        return _message(
             "infeasible",
-            {
-                "kind": "message",
-                "message": f"no class member is covered by its first {args.e} rows "
-                f"and first {args.f} columns",
-            },
+            f"no class member is covered by its first {args.e} rows and first {args.f} columns",
         )
     a = construct.modified_ryser(r, s, args.e, args.f)
     notes = [f"covered by first {args.e} rows and first {args.f} columns"]
@@ -257,33 +243,25 @@ def _parse_cover(text: str) -> tuple[int, int]:
         raise SystemExitMessage(f"bad --cover {text!r}: expected integers")
 
 
-def _cmd_construct_two_cover(args) -> CommandResult:
+def _cmd_construct_two_cover(args, r: Partition, s: Partition) -> CommandResult:
     from . import construct, structure
-    r = _parse_partition(args.row_sums, "-r")
-    s = _parse_partition(args.col_sums, "-s")
     if len(args.cover) != 2:
         raise SystemExitMessage("exactly two --cover options are required")
     cover_a = _parse_cover(args.cover[0])
     cover_b = _parse_cover(args.cover[1])
     (e1, f1), (e2, f2) = construct._normalize_covers(cover_a, cover_b, len(r), len(s))
     if not structure.two_cover_exists(r, s, e1, e2, f2, f1):
-        return CommandResult(
+        return _message(
             "infeasible",
-            {
-                "kind": "message",
-                "message": f"no class member carries covers ({e1},{f1}) and "
-                f"({e2},{f2}) simultaneously",
-            },
+            f"no class member carries covers ({e1},{f1}) and ({e2},{f2}) simultaneously",
         )
     a = construct.two_cover_matrix(r, s, cover_a, cover_b)
     notes = [f"covered by ({e1} rows, {f1} cols) and ({e2} rows, {f2} cols)"]
     return CommandResult("ok", _matrix_payload(a, notes))
 
 
-def _cmd_enumerate(args) -> CommandResult:
+def _cmd_enumerate(args, r: Partition, s: Partition) -> CommandResult:
     from . import oracle
-    r = _parse_partition(args.row_sums, "-r")
-    s = _parse_partition(args.col_sums, "-s")
     budget = _budget(args)
     matrices = []
     count = 0
@@ -306,10 +284,8 @@ def _cmd_enumerate(args) -> CommandResult:
     return CommandResult("infeasible" if count == 0 else "ok", payload)
 
 
-def _cmd_uniform_min(args) -> CommandResult:
+def _cmd_uniform_min(args, r: Partition, s: Partition) -> CommandResult:
     from . import oracle
-    r = _parse_partition(args.row_sums, "-r")
-    s = _parse_partition(args.col_sums, "-s")
     budget = _budget(args)
     outcome = oracle.find_uniform_minimizer(r, s, t_max=args.tmax, budget=budget)
     payload = {
@@ -423,17 +399,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args) -> CommandResult:
+    # every command given -r and -s gets them parsed, -r first
+    pair = ()
+    if hasattr(args, "row_sums"):
+        pair = (_parse_partition(args.row_sums, "-r"), _parse_partition(args.col_sums, "-s"))
     try:
-        return args.handler(args)
+        return args.handler(args, *pair)
     except (EmptyClass, InfeasibleShift, ResidualInfeasible, WeightMismatch) as exc:
         # an unequal-weight class is empty
-        return CommandResult("infeasible", {"kind": "message", "message": str(exc)})
+        return _message("infeasible", str(exc))
     except (BadRange, BadCoverOrder, DimensionMismatch, ValueError) as exc:
         # indices out of range, uncrossed covers, t < 1 and the like are
         # usage errors
         raise SystemExitMessage(str(exc))
     except ArsError as exc:
-        return CommandResult("error", {"kind": "message", "message": str(exc)})
+        return _message("error", str(exc))
 
 
 def run(argv: list[str] | None = None) -> CommandResult:

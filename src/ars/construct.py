@@ -1,6 +1,11 @@
-"""Constructive algorithms: the canonical matrix, interchange paths,
-cover-constrained construction by column shifting, and the two-cover
-zero-block construction."""
+"""Constructive algorithms: the canonical matrix, interchange paths and
+the zero-block construction by column shifting.
+
+One assembler builds a class member carrying the prefix covers (e1, f1)
+and (e2, f2): `two_cover_parts` calls it with two crossing covers and
+`modified_ryser` with both covers equal to (e, f).  Every column shift,
+and the normal form behind interchange paths, picks its rows by one
+rule: largest live sum, bottommost on ties."""
 
 from __future__ import annotations
 
@@ -131,24 +136,15 @@ def modified_ryser(r: Partition, s: Partition, e: int, f: int) -> BinaryMatrix:
     """Build a class member whose 1s all lie in the union of the first e
     rows and first f columns.
 
-    The top-right block comes from shifting columns n..f+1 within the
-    first e rows; the bottom-left block from the transposed construction
-    on the first f columns; the top-left block is a canonical fill of
-    the leftover margins.  The caller is expected to know the cover is
-    realizable (see structure.cover_exists); otherwise InfeasibleShift or
-    ResidualInfeasible reports the failure.
+    This is the zero-block assembly of two_cover_parts with both covers
+    equal to (e, f): the top-right block comes from shifting columns
+    n..f+1 within the first e rows, the bottom-left block from the
+    transposed construction on the first f columns, and the top-left
+    block is a canonical fill of the leftover margins.  The caller is
+    expected to know the cover is realizable (see structure.cover_exists);
+    otherwise InfeasibleShift or ResidualInfeasible reports the failure.
     """
-    m, n = len(r), len(s)
-    bbar, rhat = canonical_column_submatrix(r, s, e, f)
-    cbar, shat = canonical_column_submatrix(s, r, f, e)
-    rbar = [r[i] - rhat[i] for i in range(e)]
-    sbar = [s[j] - shat[j] for j in range(f)]
-    core, _ = _residual_core(rbar, sbar)
-    grid = [[0] * n for _ in range(m)]
-    _paste(grid, 0, 0, core)
-    _paste(grid, 0, f, bbar.rows)
-    _paste(grid, e, 0, cbar.transpose().rows)
-    return BinaryMatrix(grid)
+    return _assemble(r, s, (e, f), (e, f)).matrix
 
 
 class TwoCoverParts(NamedTuple):
@@ -186,6 +182,34 @@ def _normalize_covers(
     return wide, tall
 
 
+def _assemble(
+    r: Partition, s: Partition, cover_wide: tuple[int, int], cover_tall: tuple[int, int]
+) -> TwoCoverParts:
+    """The zero-block assembly for covers (e1, f1) and (e2, f2) with
+    e1 <= e2 and f1 >= f2; equal covers give the single-cover case."""
+    m, n = len(r), len(s)
+    (e1, f1), (e2, f2) = cover_wide, cover_tall
+    row_block, rhat = canonical_column_submatrix(r, s, e1, f1)
+    col_block, shat = canonical_column_submatrix(s, r, f2, e2)
+    rbar = [r[i] - (rhat[i] if i < e1 else 0) for i in range(e2)]
+    sbar = [s[j] - (shat[j] if j < f2 else 0) for j in range(f1)]
+    core, canonical_core = _residual_core(rbar, sbar)
+    grid = [[0] * n for _ in range(m)]
+    _paste(grid, 0, 0, core)
+    _paste(grid, 0, f1, row_block.rows)
+    _paste(grid, e2, 0, col_block.transpose().rows)
+    return TwoCoverParts(
+        cover_wide=cover_wide,
+        cover_tall=cover_tall,
+        row_block=row_block,
+        col_block=col_block,
+        residual_row_sums=tuple(rbar),
+        residual_col_sums=tuple(sbar),
+        canonical_core=canonical_core,
+        matrix=BinaryMatrix(grid),
+    )
+
+
 def two_cover_parts(
     r: Partition, s: Partition, cover_a: tuple[int, int], cover_b: tuple[int, int]
 ) -> TwoCoverParts:
@@ -201,27 +225,7 @@ def two_cover_parts(
          un-permuted back into place.
     The result has zero blocks exactly where the two covers require them.
     """
-    m, n = len(r), len(s)
-    (e1, f1), (e2, f2) = _normalize_covers(cover_a, cover_b, m, n)
-    row_block, rhat = canonical_column_submatrix(r, s, e1, f1)
-    col_block, shat = canonical_column_submatrix(s, r, f2, e2)
-    rbar = [r[i] - (rhat[i] if i < e1 else 0) for i in range(e2)]
-    sbar = [s[j] - (shat[j] if j < f2 else 0) for j in range(f1)]
-    core, canonical_core = _residual_core(rbar, sbar)
-    grid = [[0] * n for _ in range(m)]
-    _paste(grid, 0, 0, core)
-    _paste(grid, 0, f1, row_block.rows)
-    _paste(grid, e2, 0, col_block.transpose().rows)
-    return TwoCoverParts(
-        cover_wide=(e1, f1),
-        cover_tall=(e2, f2),
-        row_block=row_block,
-        col_block=col_block,
-        residual_row_sums=tuple(rbar),
-        residual_col_sums=tuple(sbar),
-        canonical_core=canonical_core,
-        matrix=BinaryMatrix(grid),
-    )
+    return _assemble(r, s, *_normalize_covers(cover_a, cover_b, len(r), len(s)))
 
 
 def two_cover_matrix(
@@ -236,14 +240,14 @@ Interchange = tuple[int, int, int, int]
 
 def _reduce_to_normal(a: BinaryMatrix) -> tuple[list[Interchange], BinaryMatrix]:
     """Interchange a into the normal form fixed by the canonical column
-    rule (rightmost column first, rows of largest live sum, bottommost on
-    ties).  Matrices with equal margins reach the same normal form."""
+    rule (rightmost column first, rows chosen by _pick_rows).  Matrices
+    with equal margins reach the same normal form."""
     grid = [list(row) for row in a.rows]
     sums = list(a.row_sums)
     path: list[Interchange] = []
     for k in range(a.n - 1, -1, -1):
         need = a.col_sums[k]
-        want = sorted(range(a.m), key=lambda i: (-sums[i], -i))[:need]
+        want = _pick_rows(sums, need)
         have = {i for i in range(a.m) if grid[i][k]}
         want_set = set(want)
         while want_set != have:

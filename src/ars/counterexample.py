@@ -61,16 +61,25 @@ class Check(NamedTuple):
 
 def witness_sets() -> dict[int, list[tuple[int, int]]]:
     """For each t = 1..6, every realizable prefix cover (e, f) whose cost
-    t*e + f equals the minimum t-term rank."""
-    m, n = len(ROW_SUMS), len(COL_SUMS)
-    out: dict[int, list[tuple[int, int]]] = {}
-    for t, target in MINIMA.items():
-        out[t] = [
-            (e, f)
-            for e in range(m + 1)
-            for f in range(n + 1)
-            if t * e + f == target and structure.cover_exists(ROW_SUMS, COL_SUMS, e, f)
-        ]
+    t*e + f equals the minimum t-term rank, by increasing e.  (e, f) is
+    realizable exactly when f >= front[e] on the cover frontier."""
+    front = structure.cover_frontier(ROW_SUMS, COL_SUMS)
+    n = len(COL_SUMS)
+    return {
+        t: [(e, target - t * e) for e, least in enumerate(front) if least <= target - t * e <= n]
+        for t, target in MINIMA.items()
+    }
+
+
+def witness_combinations() -> list[tuple[list[tuple[int, int]], bool]]:
+    """Every choice of one witness cover per t = 1..6, as its sorted list
+    of distinct covers, with whether some class member carries all of
+    them at once (prefix covers only)."""
+    sets = witness_sets()
+    out = []
+    for combo in product(*(sets[t] for t in range(1, 7))):
+        covers = sorted(set(combo))
+        out.append((covers, flow.multi_cover_feasible(ROW_SUMS, COL_SUMS, covers) is not None))
     return out
 
 
@@ -120,13 +129,8 @@ def verify() -> list[Check]:
         )
     )
 
-    sets = witness_sets()
-    combos = list(product(*(sets[t] for t in range(1, 7))))
-    feasible = []
-    for combo in combos:
-        covers = sorted(set(combo))
-        if flow.multi_cover_feasible(ROW_SUMS, COL_SUMS, covers) is not None:
-            feasible.append(covers)
+    combos = witness_combinations()
+    feasible = [covers for covers, realizable in combos if realizable]
     checks.append(
         Check(
             "witness-combinations-infeasible",

@@ -34,8 +34,7 @@ class FlowNetwork:
         self.sink = sink
         self._frm: list[int] = []
         self._to: list[int] = []
-        self._res: list[int] = []   # residual capacity
-        self._base: list[int] = []  # original capacity (reverse edges: 0)
+        self._res: list[int] = []  # residual capacity
         self._adj: list[list[int]] = [[] for _ in range(num_nodes)]
 
     def add_edge(self, u: int, v: int, cap: int) -> int:
@@ -47,12 +46,10 @@ class FlowNetwork:
         self._frm.append(u)
         self._to.append(v)
         self._res.append(cap)
-        self._base.append(cap)
         self._adj[u].append(eid)
         self._frm.append(v)
         self._to.append(u)
         self._res.append(0)
-        self._base.append(0)
         self._adj[v].append(eid + 1)
         return eid
 
@@ -61,9 +58,12 @@ class FlowNetwork:
         return self._res[eid ^ 1]
 
     def edges(self) -> Iterator[tuple[int, int, int, int]]:
-        """Forward edges as (from, to, capacity, flow), insertion order."""
+        """Forward edges as (from, to, capacity, flow), insertion order.
+        Augmenting moves residual capacity between an edge and its twin,
+        so the capacity is the sum of the two."""
         for eid in range(0, len(self._to), 2):
-            yield self._frm[eid], self._to[eid], self._base[eid], self.flow_on(eid)
+            flow = self.flow_on(eid)
+            yield self._frm[eid], self._to[eid], self._res[eid] + flow, flow
 
     def _augment_once(self) -> int:
         parent_edge = [-1] * self.num_nodes

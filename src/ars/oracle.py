@@ -1,7 +1,10 @@
 """Brute-force ground truth: exhaustive class enumeration, exhaustive
 t-term ranks, the exhaustive minimum cover of a matrix and the cover
 table phi by direct enumeration, independent of the flow machinery and
-of the structure layer's suffix minima."""
+of the structure layer's suffix minima.  Only brute_phi and
+find_uniform_minimizer reach the structure and flow layers, and they
+import them when called, so enumeration and the exhaustive ranks load
+neither."""
 
 from __future__ import annotations
 
@@ -9,7 +12,6 @@ import itertools
 from collections.abc import Iterator
 from typing import NamedTuple
 
-from . import flow, structure
 from .binmat import BinaryMatrix, CoverSpec
 from .errors import EmptyClass
 from .partition import Partition, is_nonempty, margins_realizable
@@ -70,6 +72,7 @@ def brute_phi(r: Partition, s: Partition) -> tuple[tuple[int, ...], ...]:
     over 0 <= i1 <= k <= k+i2 <= m and 0 <= j1 <= l <= l+j2 <= n, where
     t is the structure matrix.  O(m^3 n^2); a reference for
     structure.phi_matrix and the cover frontier."""
+    from . import structure
     t = structure.structure_matrix(r, s).values
     m, n = len(r), len(s)
     rows = []
@@ -175,6 +178,7 @@ def find_uniform_minimizer(
     R_1, so t_max is clamped to R_1 (1 for an empty class), which is
     also its default: checking k <= R_1 certifies all k >= 1.
     """
+    from . import flow, structure
     if not is_nonempty(r, s):
         raise EmptyClass(f"no matrix has row sums {r.parts} and column sums {s.parts}")
     if t_max is not None and t_max < 1:

@@ -229,11 +229,10 @@ def cover_exists(r: Partition, s: Partition, e: int, f: int) -> bool:
     """True iff some class member has all its 1s inside the first e rows
     and first f columns, i.e. phi[e][f] == t[e][f].  Feasibility is
     upward closed in e and f, so this is f >= cover_frontier(r, s)[e]."""
-    tables = _nonempty_tables(r, s)
     m, n = len(r), len(s)
     if not (0 <= e <= m and 0 <= f <= n):
         raise BadRange(f"cover ({e},{f}) out of range for {m}x{n}")
-    return f >= tables.frontier[e]
+    return f >= _nonempty_tables(r, s).frontier[e]
 
 
 def min_t_term_rank(r: Partition, s: Partition, t: int) -> tuple[int, tuple[int, int]]:

@@ -1,8 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -18,6 +20,21 @@ FLOW_EXAMPLE_TEXT = "3 4\n1 1 1 1\n1 0 0 0\n1 0 0 0\n"
 
 R_REF = "6,5,4,3,3,2,2,1,1"
 S_REF = "7,3,3,2,2,1,1,1,1,1,1,1,1,1,1"
+
+ROOT = Path(__file__).resolve().parent.parent
+# the --json stdout of each README example command, keyed by its
+# arguments after "ars"
+README_GOLDEN = json.loads((ROOT / "tests" / "golden" / "readme_cli_json.json").read_text())
+
+
+def _readme_commands():
+    """The example commands of the README's command-line section, each
+    without its leading "ars" and trailing comment."""
+    return [
+        " ".join(line.split("#")[0].split()[1:])
+        for line in (ROOT / "README.md").read_text().splitlines()
+        if line.startswith("ars ")
+    ]
 
 
 def test_nonempty_ok():
@@ -233,12 +250,41 @@ def test_json_rendering_is_byte_stable(capsys):
     assert payload["payload"]["table"]["values"][3][3] == 8
 
 
+def test_readme_examples_are_all_golden():
+    assert sorted(_readme_commands()) == sorted(README_GOLDEN)
+
+
+@pytest.mark.parametrize("command", sorted(README_GOLDEN))
+def test_readme_example_json_is_golden(command, tmp_path, monkeypatch, capsys):
+    (tmp_path / "ex3.txt").write_text(FLOW_EXAMPLE_TEXT)
+    monkeypatch.chdir(tmp_path)
+    assert main(["--json", *command.split()]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == README_GOLDEN[command]
+    assert captured.err == ""
+
+
+def test_matrix_file_is_closed(tmp_path):
+    (tmp_path / "m.txt").write_text(FLOW_EXAMPLE_TEXT)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "ars", "rank", "-t", "1", "--matrix", "m.txt"],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 0 and proc.stdout == "2 (cross-checked)\n"
+    assert "ResourceWarning" not in proc.stderr
+
+
 def test_exit_codes(capsys):
     assert main(["nonempty", "-r", "2,2", "-s", "3,1"]) == 0  # infeasible is data
     capsys.readouterr()
     # out-of-range or uncrossed user input is a usage error
     for argv in (
         ["construct-cover", "-r", "2,1", "-s", "2,1", "-e", "5", "-f", "0"],
+        ["construct-cover", "-r", "2,2", "-s", "3,1", "-e", "9", "-f", "0"],  # empty class
         ["construct-two-cover", "-r", "2,1", "-s", "2,1", "--cover", "3,0", "--cover", "1,1"],
         ["psi", "-r", "2,1", "-s", "2,1", "-a", "1", "-b", "1", "-c", "0", "-d", "1"],
     ):
@@ -255,6 +301,14 @@ def test_bad_partition_is_usage_error(capsys):
     assert main(["nonempty", "-r", "1,2", "-s", "2,1"]) == 2
     err = capsys.readouterr().err
     assert "bad -r" in err
+    # -r is reported before -s, and both before the handler's own checks,
+    # whatever the argv order
+    for argv, flag in (
+        (["enumerate", "-s", "x", "-r", "1,2", "--budget", "-1"], "bad -r"),
+        (["construct-two-cover", "-r", "2,1", "-s", "1,2", "--cover", "1"], "bad -s"),
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag}: ")
 
 
 def test_unknown_command_exits_nonzero():

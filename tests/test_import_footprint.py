@@ -46,11 +46,11 @@ CASES = {
     "rank": (["rank", "-t", "2", "--matrix", "big.txt"], BASE | {"ars.binmat", "ars.flow"}),
     "rank-cross-checked": (
         ["rank", "-t", "2", "--matrix", "small.txt"],
-        BASE | {"ars.binmat", "ars.flow", "ars.oracle", "ars.structure"},
+        BASE | {"ars.binmat", "ars.flow", "ars.oracle"},
     ),
     "enumerate": (
         ["enumerate", "--count", "-r", "3,2,2,1", "-s", "2,2,2,1,1"],
-        BASE | {"ars.binmat", "ars.flow", "ars.oracle", "ars.structure"},
+        BASE | {"ars.binmat", "ars.oracle"},
     ),
     "construct-cover": (
         ["construct-cover", "-r", "4,2,2,2,1,1,1", "-s", "2,2,2,2,1,1,1,1,1", "-e", "2", "-f", "4"],
