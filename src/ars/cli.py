@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import TYPE_CHECKING, Any, NamedTuple
 
@@ -140,17 +139,9 @@ def _load_matrix(path: str) -> BinaryMatrix:
 
 
 def _budget(args) -> int:
-    """--budget, else ARS_BUDGET, else DEFAULT_BUDGET; never negative."""
-    budget = args.budget
-    if budget is None:
-        raw = os.environ.get("ARS_BUDGET", str(DEFAULT_BUDGET))
-        try:
-            budget = int(raw)
-        except ValueError:
-            raise SystemExitMessage(f"ARS_BUDGET must be an integer, got {raw!r}")
-    if budget < 0:
+    if args.budget < 0:
         raise SystemExitMessage("--budget must be nonnegative")
-    return budget
+    return args.budget
 
 
 def _message(status: str, text: str) -> CommandResult:
@@ -222,12 +213,7 @@ def _cmd_rank(args) -> CommandResult:
 
 
 def _cmd_construct_cover(args, r: Partition, s: Partition) -> CommandResult:
-    from . import construct, structure
-    if not structure.cover_exists(r, s, args.e, args.f):
-        return _message(
-            "infeasible",
-            f"no class member is covered by its first {args.e} rows and first {args.f} columns",
-        )
+    from . import construct
     a = construct.modified_ryser(r, s, args.e, args.f)
     notes = [f"covered by first {args.e} rows and first {args.f} columns"]
     return CommandResult("ok", _matrix_payload(a, notes))
@@ -244,20 +230,13 @@ def _parse_cover(text: str) -> tuple[int, int]:
 
 
 def _cmd_construct_two_cover(args, r: Partition, s: Partition) -> CommandResult:
-    from . import construct, structure
+    from . import construct
     if len(args.cover) != 2:
         raise SystemExitMessage("exactly two --cover options are required")
-    cover_a = _parse_cover(args.cover[0])
-    cover_b = _parse_cover(args.cover[1])
-    (e1, f1), (e2, f2) = construct._normalize_covers(cover_a, cover_b, len(r), len(s))
-    if not structure.two_cover_exists(r, s, e1, e2, f2, f1):
-        return _message(
-            "infeasible",
-            f"no class member carries covers ({e1},{f1}) and ({e2},{f2}) simultaneously",
-        )
-    a = construct.two_cover_matrix(r, s, cover_a, cover_b)
+    parts = construct.two_cover_parts(r, s, *map(_parse_cover, args.cover))
+    (e1, f1), (e2, f2) = parts.cover_wide, parts.cover_tall
     notes = [f"covered by ({e1} rows, {f1} cols) and ({e2} rows, {f2} cols)"]
-    return CommandResult("ok", _matrix_payload(a, notes))
+    return CommandResult("ok", _matrix_payload(parts.matrix, notes))
 
 
 def _cmd_enumerate(args, r: Partition, s: Partition) -> CommandResult:
@@ -376,8 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list every class member (budgeted)")
     _add_pair_args(p)
-    p.add_argument("--budget", type=int, default=None,
-                   help=f"matrix cap (default {DEFAULT_BUDGET}, or ARS_BUDGET)")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help=f"matrix cap (default {DEFAULT_BUDGET})")
     p.add_argument("--count", action="store_true", help="print only the count")
     p.set_defaults(handler=_cmd_enumerate)
 
@@ -385,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pair_args(p)
     p.add_argument("--tmax", type=int, default=None,
                    help="check ranks 1..TMAX (default: largest row sum)")
-    p.add_argument("--budget", type=int, default=None,
-                   help=f"matrix cap (default {DEFAULT_BUDGET}, or ARS_BUDGET)")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help=f"matrix cap (default {DEFAULT_BUDGET})")
     p.set_defaults(handler=_cmd_uniform_min)
 
     p = sub.add_parser(

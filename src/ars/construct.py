@@ -3,9 +3,12 @@ the zero-block construction by column shifting.
 
 One assembler builds a class member carrying the prefix covers (e1, f1)
 and (e2, f2): `two_cover_parts` calls it with two crossing covers and
-`modified_ryser` with both covers equal to (e, f).  Every column shift,
-and the normal form behind interchange paths, picks its rows by one
-rule: largest live sum, bottommost on ties."""
+`modified_ryser` with both covers equal to (e, f).  Each checks first
+that some class member carries its covers (`structure.cover_exists`,
+`structure.two_cover_exists`) and raises InfeasibleShift when none
+does.  Every column shift, and the normal form behind interchange
+paths, picks its rows by one rule: largest live sum, bottommost on
+ties."""
 
 from __future__ import annotations
 
@@ -140,10 +143,14 @@ def modified_ryser(r: Partition, s: Partition, e: int, f: int) -> BinaryMatrix:
     equal to (e, f): the top-right block comes from shifting columns
     n..f+1 within the first e rows, the bottom-left block from the
     transposed construction on the first f columns, and the top-left
-    block is a canonical fill of the leftover margins.  The caller is
-    expected to know the cover is realizable (see structure.cover_exists);
-    otherwise InfeasibleShift or ResidualInfeasible reports the failure.
+    block is a canonical fill of the leftover margins.  Raises
+    InfeasibleShift when no class member has this cover (see
+    structure.cover_exists).
     """
+    if not structure.cover_exists(r, s, e, f):
+        raise InfeasibleShift(
+            f"no class member is covered by its first {e} rows and first {f} columns"
+        )
     return _assemble(r, s, (e, f), (e, f)).matrix
 
 
@@ -224,8 +231,16 @@ def two_cover_parts(
       4. fill the core with the canonical matrix of the sorted residuals,
          un-permuted back into place.
     The result has zero blocks exactly where the two covers require them.
+    Raises InfeasibleShift when no class member carries both covers (see
+    structure.two_cover_exists).
     """
-    return _assemble(r, s, *_normalize_covers(cover_a, cover_b, len(r), len(s)))
+    wide, tall = _normalize_covers(cover_a, cover_b, len(r), len(s))
+    (e1, f1), (e2, f2) = wide, tall
+    if not structure.two_cover_exists(r, s, e1, e2, f2, f1):
+        raise InfeasibleShift(
+            f"no class member carries covers ({e1},{f1}) and ({e2},{f2}) simultaneously"
+        )
+    return _assemble(r, s, wide, tall)
 
 
 def two_cover_matrix(

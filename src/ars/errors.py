@@ -34,8 +34,8 @@ class DimensionTooSmall(ArsError):
 
 
 class InfeasibleShift(ArsError):
-    """A column shift ran out of movable ones; the requested cover shape
-    cannot be realized by the shifting construction."""
+    """No class member carries the requested covers, or a column shift
+    ran out of movable ones."""
 
 
 class ResidualInfeasible(ArsError):

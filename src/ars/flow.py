@@ -259,35 +259,36 @@ def feasible_bounded(
     return entries
 
 
-def _prefix_pair(cover: CoverSpec | tuple[int, int]) -> tuple[int, int]:
-    if isinstance(cover, CoverSpec):
-        if cover.rows is not None or cover.cols is not None:
-            raise ValueError("only prefix covers are supported here")
-        return cover.e, cover.f
-    e, f = cover
-    return int(e), int(f)
-
-
 def multi_cover_feasible(
     r: Partition, s: Partition, covers: Iterable[CoverSpec | tuple[int, int]]
 ) -> BinaryMatrix | None:
-    """Search for a class member satisfying every given prefix cover.
+    """Search for a class member carrying every given cover at once.
 
-    Entry (i, j) is permitted only if every cover (e, f) has i < e or
-    j < f; feasibility then reduces to a bounded margin problem.  A
-    returned matrix certifies all the covers at once.  Absence means no
-    class member carries all the PREFIX covers simultaneously; it says
-    nothing about non-prefix row/column selections.
+    A cover is a CoverSpec, with explicit rows and columns or the prefix
+    ones, or an (e, f) pair meaning the prefix cover.  A row lying in
+    every cover's row set is unrestricted; any other row may hold 1s only
+    in the columns shared by the covers that miss it.  Feasibility then
+    reduces to a bounded margin problem, and a returned matrix certifies
+    all the covers at once.  Absence says nothing about covers of the
+    same sizes in other positions.
     """
     m, n = len(r), len(s)
-    pairs = [_prefix_pair(cv) for cv in covers]
-    for e, f in pairs:
+    sets = []
+    for cover in covers:
+        e, f = map(int, cover[:2])
         if not (0 <= e <= m and 0 <= f <= n):
             raise DimensionMismatch(f"cover ({e},{f}) out of range for {m}x{n}")
-    c = [
-        [1 if all(i < e or j < f for e, f in pairs) else 0 for j in range(n)]
-        for i in range(m)
-    ]
+        if not isinstance(cover, CoverSpec):
+            cover = CoverSpec.prefix(e, f)
+        sets.append((cover.row_set(m), cover.col_set(n)))
+    every_col = frozenset(range(n))
+    c = []
+    for i in range(m):
+        allowed = every_col
+        for rows, cols in sets:
+            if i not in rows:
+                allowed &= cols
+        c.append([1 if j in allowed else 0 for j in range(n)])
     result = feasible_bounded(r, s, c)
     assert result is None or isinstance(result, BinaryMatrix)
     return result

@@ -17,34 +17,27 @@ from .errors import EmptyClass
 from .partition import Partition, is_nonempty, margins_realizable
 
 
-def enumerate_class(
-    r: Partition, s: Partition, budget: int | None = None
-) -> Iterator[BinaryMatrix]:
+def enumerate_class(r: Partition, s: Partition) -> Iterator[BinaryMatrix]:
     """Yield every matrix with row sums r and column sums s.
 
     Backtracks column by column, choosing the rows of each column among
     those with remaining capacity, pruning branches whose residual
     margins fail the Gale-Ryser test.  Matrices come out in lexicographic
-    order of their column row-sets.  With a budget, stops after that many
-    matrices.
+    order of their column row-sets.  A caller that wants only a prefix
+    takes it with itertools.islice.
     """
     m, n = len(r), len(s)
-    if budget is not None and budget <= 0:
-        return
     if not is_nonempty(r, s):
         return
     rr = list(r.parts)
     chosen: list[tuple[int, ...]] = []
-    yielded = 0
 
     def rec(j: int) -> Iterator[BinaryMatrix]:
-        nonlocal yielded
         if j == n:
             grid = [[0] * n for _ in range(m)]
             for jj, rows in enumerate(chosen):
                 for i in rows:
                     grid[i][jj] = 1
-            yielded += 1
             yield BinaryMatrix(grid)
             return
         rest = s.parts[j + 1:]
@@ -58,8 +51,6 @@ def enumerate_class(
                 chosen.pop()
             for i in combo:
                 rr[i] += 1
-            if budget is not None and yielded >= budget:
-                return
 
     yield from rec(0)
 
@@ -179,10 +170,10 @@ def find_uniform_minimizer(
     also its default: checking k <= R_1 certifies all k >= 1.
     """
     from . import flow, structure
-    if not is_nonempty(r, s):
-        raise EmptyClass(f"no matrix has row sums {r.parts} and column sums {s.parts}")
     if t_max is not None and t_max < 1:
         raise ValueError("t_max must be a positive integer")
+    if not is_nonempty(r, s):
+        raise EmptyClass(f"no matrix has row sums {r.parts} and column sums {s.parts}")
     r1 = r.parts[0] if r.parts else 1
     t_max = r1 if t_max is None else min(t_max, r1)
     targets = [structure.min_t_term_rank(r, s, k)[0] for k in range(1, t_max + 1)]

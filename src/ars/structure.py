@@ -265,12 +265,12 @@ def psi(r: Partition, s: Partition, a: int, b: int, c: int, d: int) -> int:
     terms share the factor c-j1, so j1 is minimized once for each value
     of b-i1-i2, leaving O(bc + a(b-a)(d-c)) work.
     """
-    tables = _class_tables(r, s)
     m, n = len(r), len(s)
     if not (0 <= a < b <= m):
         raise BadRange(f"need 0 <= a < b <= m, got a={a}, b={b}, m={m}")
     if not (0 <= c < d <= n):
         raise BadRange(f"need 0 <= c < d <= n, got c={c}, d={d}, n={n}")
+    tables = _class_tables(r, s)
     t, row_min = tables.t, tables.row_min
     col_b = tables.col_min[b]
     # (b-a-i2)(c-j1) + (a-i1)(c-j1) = (b-i1-i2)(c-j1)
@@ -290,8 +290,8 @@ def two_cover_exists(
     """True iff some class member is simultaneously covered by its first e
     rows plus f columns and by its first e' rows plus f' columns
     (e' < e, f < f').  Criterion: psi_{e',e;f,f'} >= t[e][f] + t[e'][f']."""
-    t = _nonempty_tables(r, s).t
     value = psi(r, s, e_prime, e, f, f_prime)
+    t = _nonempty_tables(r, s).t
     return value >= t[e][f] + t[e_prime][f_prime]
 
 

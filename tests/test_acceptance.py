@@ -128,7 +128,7 @@ def test_criterion_5_oracle_equivalence(small_pairs, small_classes, small_profil
     for r, s in small_pairs:
         gale = is_nonempty(r, s)
         assert gale == nonempty_by_structure(structure_matrix(r, s))
-        assert gale == (next(enumerate_class(r, s, budget=1), None) is not None)
+        assert gale == (next(enumerate_class(r, s), None) is not None)
 
     # (b, e) table minima match brute minima; per-matrix triple equality
     for (r, s), mats in small_classes.items():

@@ -174,12 +174,6 @@ def test_enumerate_budget_truncation():
     assert result.payload["count"] == 2 and result.payload["truncated"] is True
 
 
-def test_enumerate_env_budget(monkeypatch):
-    monkeypatch.setenv("ARS_BUDGET", "1")
-    result = run(["enumerate", "-r", "1,1", "-s", "1,1"])
-    assert result.status == "undetermined" and result.payload["count"] == 1
-
-
 def test_enumerate_zero_budget_is_undetermined():
     result = run(["enumerate", "-r", "1,1", "-s", "1,1", "--budget", "0"])
     assert result.status == "undetermined" and result.payload["count"] == 0
@@ -287,6 +281,10 @@ def test_exit_codes(capsys):
         ["construct-cover", "-r", "2,2", "-s", "3,1", "-e", "9", "-f", "0"],  # empty class
         ["construct-two-cover", "-r", "2,1", "-s", "2,1", "--cover", "3,0", "--cover", "1,1"],
         ["psi", "-r", "2,1", "-s", "2,1", "-a", "1", "-b", "1", "-c", "0", "-d", "1"],
+        # arguments are checked before the class, so an empty class
+        # does not hide a bad one
+        ["psi", "-r", "2", "-s", "1", "-a", "1", "-b", "1", "-c", "0", "-d", "1"],
+        ["uniform-min", "-r", "2", "-s", "1", "--tmax", "0"],
     ):
         assert main(argv) == 2
         captured = capsys.readouterr()

@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import pytest
@@ -143,6 +144,11 @@ def test_modified_ryser_sweep(small_classes):
         for e in range(m + 1):
             for f in range(n + 1):
                 if not cover_exists(r, s, e, f):
+                    with pytest.raises(InfeasibleShift, match=re.escape(
+                        f"no class member is covered by its first {e} rows "
+                        f"and first {f} columns"
+                    )):
+                        modified_ryser(r, s, e, f)
                     continue
                 a = modified_ryser(r, s, e, f)
                 assert in_class(a, r, s)
@@ -198,6 +204,11 @@ def test_two_cover_sweep(small_classes):
         for e1, e2 in itertools.combinations(range(m + 1), 2):
             for f2, f1 in itertools.combinations(range(n + 1), 2):
                 if not two_cover_exists(r, s, e1, e2, f2, f1):
+                    with pytest.raises(InfeasibleShift, match=re.escape(
+                        f"no class member carries covers ({e1},{f1}) and "
+                        f"({e2},{f2}) simultaneously"
+                    )):
+                        two_cover_matrix(r, s, (e1, f1), (e2, f2))
                     continue
                 a = two_cover_matrix(r, s, (e1, f1), (e2, f2))
                 assert in_class(a, r, s)

@@ -251,6 +251,24 @@ def test_multi_cover_accepts_cover_specs():
     assert got is not None
 
 
+def test_multi_cover_explicit_sets_match_enumeration(small_classes):
+    rng = random.Random(7)
+    for (r, s), mats in small_classes.items():
+        m, n = len(r), len(s)
+        for _ in range(4):
+            covers = []
+            for _ in range(rng.randint(1, 3)):
+                rows = tuple(sorted(rng.sample(range(m), rng.randint(0, m))))
+                cols = tuple(sorted(rng.sample(range(n), rng.randint(0, n))))
+                covers.append(CoverSpec(len(rows), len(cols), rows=rows, cols=cols))
+            got = multi_cover_feasible(r, s, covers)
+            exists = any(all(is_covered(a, cv) for cv in covers) for a in mats)
+            assert (got is not None) == exists
+            if got is not None:
+                assert in_class(got, r, s)
+                assert all(is_covered(got, cv) for cv in covers)
+
+
 def test_multi_cover_range_check():
     with pytest.raises(DimensionMismatch):
         multi_cover_feasible(Partition((1,)), Partition((1,)), [(2, 0)])

@@ -47,14 +47,6 @@ def test_enumerate_members_and_determinism(small_classes):
         assert tuple(enumerate_class(r, s)) == mats
 
 
-def test_enumerate_budget():
-    ones = Partition((1,) * 4)
-    assert sum(1 for _ in enumerate_class(ones, ones, budget=5)) == 5
-    assert sum(1 for _ in enumerate_class(ones, ones, budget=0)) == 0
-    # a budget beyond the class size changes nothing
-    assert sum(1 for _ in enumerate_class(ones, ones, budget=10**6)) == 24
-
-
 def test_brute_rank_worked_example():
     a = BinaryMatrix([[1, 1, 1, 1], [1, 0, 0, 0], [1, 0, 0, 0]])
     assert brute_t_term_rank(a, 2) == 3

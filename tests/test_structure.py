@@ -212,6 +212,9 @@ def test_psi_validates():
         psi(R_69, S_69, 0, 1, 2, 2)
     with pytest.raises(WeightMismatch):
         psi(Partition((2,)), Partition((1,)), 0, 1, 0, 1)
+    # the range is checked before the class
+    with pytest.raises(BadRange):
+        psi(Partition((2,)), Partition((1,)), 1, 0, 0, 1)
 
 
 def test_psi_nonnegative_on_nonempty_classes(small_classes):
