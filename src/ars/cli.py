@@ -11,16 +11,7 @@ import json
 import sys
 from typing import TYPE_CHECKING, Any, NamedTuple
 
-from .errors import (
-    ArsError,
-    BadCoverOrder,
-    BadRange,
-    DimensionMismatch,
-    EmptyClass,
-    InfeasibleShift,
-    ResidualInfeasible,
-    WeightMismatch,
-)
+from .errors import ArsError, Infeasible
 from .partition import Partition, is_nonempty
 
 if TYPE_CHECKING:
@@ -116,11 +107,7 @@ def _parse_partition(text: str, flag: str) -> Partition:
     try:
         return Partition.from_text(text)
     except ValueError as exc:
-        raise SystemExitMessage(f"bad {flag}: {exc}")
-
-
-class SystemExitMessage(Exception):
-    """Usage-level failure with a one-line diagnostic."""
+        raise ValueError(f"bad {flag}: {exc}")
 
 
 def _load_matrix(path: str) -> BinaryMatrix:
@@ -133,14 +120,14 @@ def _load_matrix(path: str) -> BinaryMatrix:
                 text = fh.read()
         return BinaryMatrix.from_text(text)
     except OSError as exc:
-        raise SystemExitMessage(f"cannot read matrix: {exc}")
+        raise ValueError(f"cannot read matrix: {exc}")
     except ValueError as exc:
-        raise SystemExitMessage(f"bad matrix file: {exc}")
+        raise ValueError(f"bad matrix file: {exc}")
 
 
 def _budget(args) -> int:
     if args.budget < 0:
-        raise SystemExitMessage("--budget must be nonnegative")
+        raise ValueError("--budget must be nonnegative")
     return args.budget
 
 
@@ -222,17 +209,17 @@ def _cmd_construct_cover(args, r: Partition, s: Partition) -> CommandResult:
 def _parse_cover(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise SystemExitMessage(f"bad --cover {text!r}: expected E,F")
+        raise ValueError(f"bad --cover {text!r}: expected E,F")
     try:
         return int(parts[0]), int(parts[1])
     except ValueError:
-        raise SystemExitMessage(f"bad --cover {text!r}: expected integers")
+        raise ValueError(f"bad --cover {text!r}: expected integers")
 
 
 def _cmd_construct_two_cover(args, r: Partition, s: Partition) -> CommandResult:
     from . import construct
     if len(args.cover) != 2:
-        raise SystemExitMessage("exactly two --cover options are required")
+        raise ValueError("exactly two --cover options are required")
     parts = construct.two_cover_parts(r, s, *map(_parse_cover, args.cover))
     (e1, f1), (e2, f2) = parts.cover_wide, parts.cover_tall
     notes = [f"covered by ({e1} rows, {f1} cols) and ({e2} rows, {f2} cols)"]
@@ -384,20 +371,17 @@ def _dispatch(args) -> CommandResult:
         pair = (_parse_partition(args.row_sums, "-r"), _parse_partition(args.col_sums, "-s"))
     try:
         return args.handler(args, *pair)
-    except (EmptyClass, InfeasibleShift, ResidualInfeasible, WeightMismatch) as exc:
-        # an unequal-weight class is empty
+    except Infeasible as exc:
         return _message("infeasible", str(exc))
-    except (BadRange, BadCoverOrder, DimensionMismatch, ValueError) as exc:
-        # indices out of range, uncrossed covers, t < 1 and the like are
-        # usage errors
-        raise SystemExitMessage(str(exc))
+    except ValueError:
+        raise  # a usage error, reported by main
     except ArsError as exc:
         return _message("error", str(exc))
 
 
 def run(argv: list[str] | None = None) -> CommandResult:
-    """Parse argv and execute; domain errors map onto result statuses
-    (mathematical infeasibility is data, not a tool failure)."""
+    """Parse argv and execute; each error's class maps it onto a result
+    status (see ars.errors), except a usage error, which raises ValueError."""
     return _dispatch(build_parser().parse_args(argv))
 
 
@@ -405,7 +389,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         result = _dispatch(args)
-    except SystemExitMessage as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(result.render_json() if args.json else result.render_text())

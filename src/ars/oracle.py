@@ -22,37 +22,44 @@ def enumerate_class(r: Partition, s: Partition) -> Iterator[BinaryMatrix]:
 
     Backtracks column by column, choosing the rows of each column among
     those with remaining capacity, pruning branches whose residual
-    margins fail the Gale-Ryser test.  Matrices come out in lexicographic
-    order of their column row-sets.  A caller that wants only a prefix
-    takes it with itertools.islice.
+    margins fail the Gale-Ryser test.  The open columns' combinations
+    iterators sit on an explicit stack, so no recursion limit bounds n.
+    Matrices come out in lexicographic order of their column row-sets.
+    A caller that wants only a prefix takes it with itertools.islice.
     """
     m, n = len(r), len(s)
     if not is_nonempty(r, s):
         return
     rr = list(r.parts)
     chosen: list[tuple[int, ...]] = []
-
-    def rec(j: int) -> Iterator[BinaryMatrix]:
-        if j == n:
+    # stack[j] yields the row sets of column j; chosen[j] is the current one
+    stack: list[Iterator[tuple[int, ...]]] = []
+    while True:
+        if len(chosen) < n:
+            live = [i for i in range(m) if rr[i] > 0]
+            stack.append(itertools.combinations(live, s[len(chosen)]))
+        else:
             grid = [[0] * n for _ in range(m)]
-            for jj, rows in enumerate(chosen):
+            for j, rows in enumerate(chosen):
                 for i in rows:
-                    grid[i][jj] = 1
+                    grid[i][j] = 1
             yield BinaryMatrix(grid)
-            return
-        rest = s.parts[j + 1:]
-        candidates = [i for i in range(m) if rr[i] > 0]
-        for combo in itertools.combinations(candidates, s[j]):
+        # advance to the next choice that keeps the residual realizable
+        while stack:
+            if len(chosen) == len(stack):
+                for i in chosen.pop():
+                    rr[i] += 1
+            combo = next(stack[-1], None)
+            if combo is None:
+                stack.pop()
+                continue
             for i in combo:
                 rr[i] -= 1
-            if margins_realizable(rr, rest):
-                chosen.append(combo)
-                yield from rec(j + 1)
-                chosen.pop()
-            for i in combo:
-                rr[i] += 1
-
-    yield from rec(0)
+            chosen.append(combo)
+            if margins_realizable(rr, s.parts[len(chosen):]):
+                break
+        else:
+            return
 
 
 def brute_phi(r: Partition, s: Partition) -> tuple[tuple[int, ...], ...]:
@@ -160,10 +167,10 @@ class SearchOutcome(NamedTuple):
 
 
 def find_uniform_minimizer(
-    r: Partition, s: Partition, t_max: int | None = None, budget: int | None = 1_000_000
+    r: Partition, s: Partition, t_max: int | None = None, budget: int | None = None
 ) -> SearchOutcome:
-    """Scan the class for a matrix whose k-term rank meets the class
-    minimum for every k = 1..t_max.
+    """Scan at most budget matrices of the class (None, the default: all)
+    for one whose k-term rank meets the class minimum for every k = 1..t_max.
 
     Ranks and class minima stabilize once k reaches the largest row sum
     R_1, so t_max is clamped to R_1 (1 for an empty class), which is

@@ -99,8 +99,8 @@ def is_nonempty(r: Partition, s: Partition) -> bool:
     """Gale-Ryser test: the class of (0,1)-matrices with row sums r and
     column sums s is nonempty iff the weights agree and s is majorized by
     the conjugate of r."""
-    if r.weight != s.weight:
-        return False
+    if r.weight != s.weight or r.part(0) > len(s):
+        return False  # a row cannot hold more ones than there are columns
     return majorized_by(s, conjugate(r))
 
 

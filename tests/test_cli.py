@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ars.cli
+import ars.errors
 from ars import BinaryMatrix
 from ars.cli import main, run
 
@@ -179,6 +181,13 @@ def test_enumerate_zero_budget_is_undetermined():
     assert result.status == "undetermined" and result.payload["count"] == 0
 
 
+def test_enumerate_more_columns_than_the_recursion_limit(capsys):
+    argv = ["--json", "enumerate", "-r", "1200", "-s", ",".join(["1"] * 1200), "--count"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "ok" and doc["payload"]["count"] == 1
+
+
 def test_bad_tmax_is_usage_error(capsys):
     assert main(["uniform-min", "-r", "2,1", "-s", "2,1", "--tmax", "0"]) == 2
     assert "positive" in capsys.readouterr().err
@@ -293,6 +302,37 @@ def test_exit_codes(capsys):
     # a class whose weights differ is empty
     assert main(["--json", "min-rank", "-r", "2", "-s", "1", "-t", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "infeasible"
+
+
+ERROR_CLASSES = sorted(
+    (obj for obj in vars(ars.errors).values()
+     if isinstance(obj, type) and issubclass(obj, ars.errors.ArsError)
+     and obj is not ars.errors.ArsError),
+    key=lambda cls: cls.__name__,
+)
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_error_class_declares_cli_outcome(cls, monkeypatch, capsys):
+    kinds = (
+        issubclass(cls, ars.errors.Infeasible),
+        issubclass(cls, ValueError),
+        issubclass(cls, ars.errors.VerificationFailed),
+    )
+    assert sum(kinds) == 1, f"{cls.__name__} must be exactly one kind"
+
+    def raising(args, r, s):
+        raise cls("boom")
+
+    monkeypatch.setattr(ars.cli, "_cmd_nonempty", raising)
+    code = main(["--json", "nonempty", "-r", "1", "-s", "1"])
+    captured = capsys.readouterr()
+    if issubclass(cls, ars.errors.Infeasible):
+        assert code == 0 and json.loads(captured.out)["status"] == "infeasible"
+    elif issubclass(cls, ValueError):
+        assert (code, captured.out, captured.err) == (2, "", "error: boom\n")
+    else:
+        assert code == 1 and json.loads(captured.out)["status"] == "error"
 
 
 def test_bad_partition_is_usage_error(capsys):

@@ -37,10 +37,14 @@ sys.stderr.write(json.dumps([code, sorted(set(sys.modules) - before)]))
 BASE = {"ars", "ars.cli", "ars.errors", "ars.partition"}
 TABLES = BASE | {"ars.structure"}
 
-# the seven commands of the cli_calls benchmark workload, plus a rank
-# call small enough for the brute-force cross-check
+CONSTRUCT = BASE | {"ars.binmat", "ars.construct", "ars.flow", "ars.structure"}
+
+# the seven commands of the cli_calls benchmark workload, a rank call
+# small enough for the brute-force cross-check, and the other commands
 CASES = {
     "nonempty": (["nonempty", "-r", "3,2,1", "-s", "2,2,2"], TABLES),
+    "structure": (["structure", "-r", R_REF, "-s", S_REF], TABLES),
+    "psi": (["psi", "-r", "2,1", "-s", "2,1", "-a", "0", "-b", "1", "-c", "0", "-d", "1"], TABLES),
     "min-rank": (["min-rank", "-r", R_REF, "-s", S_REF, "-t", "2"], TABLES),
     "phi": (["phi", "-r", R_REF, "-s", S_REF], TABLES),
     "rank": (["rank", "-t", "2", "--matrix", "big.txt"], BASE | {"ars.binmat", "ars.flow"}),
@@ -54,7 +58,17 @@ CASES = {
     ),
     "construct-cover": (
         ["construct-cover", "-r", "4,2,2,2,1,1,1", "-s", "2,2,2,2,1,1,1,1,1", "-e", "2", "-f", "4"],
-        BASE | {"ars.binmat", "ars.construct", "ars.flow", "ars.structure"},
+        CONSTRUCT,
+    ),
+    "canonical": (["canonical", "-r", "2,1", "-s", "2,1"], CONSTRUCT),
+    "construct-two-cover": (
+        ["construct-two-cover", "-r", "4,2,2,2,1,1,1", "-s", "2,2,2,2,1,1,1,1,1",
+         "--cover", "2,4", "--cover", "3,3"],
+        CONSTRUCT,
+    ),
+    "uniform-min": (
+        ["uniform-min", "-r", "2,1", "-s", "2,1"],
+        BASE | {"ars.binmat", "ars.flow", "ars.oracle", "ars.structure"},
     ),
     "verify-counterexample": (
         ["verify-counterexample"],

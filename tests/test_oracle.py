@@ -33,6 +33,11 @@ def test_enumerate_two_member_class():
     assert mats == [BinaryMatrix([[1, 0], [0, 1]]), BinaryMatrix([[0, 1], [1, 0]])]
 
 
+def test_enumerate_more_columns_than_the_recursion_limit():
+    mats = list(enumerate_class(Partition((1200,)), Partition((1,) * 1200)))
+    assert mats == [BinaryMatrix([[1] * 1200])]
+
+
 @pytest.mark.parametrize("k,expected", [(1, 1), (2, 2), (3, 6), (4, 24)])
 def test_enumerate_permutation_matrices(k, expected):
     ones = Partition((1,) * k)

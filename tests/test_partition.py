@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given
 
+import ars.partition
 from ars import Partition, conjugate, is_nonempty, iter_partitions, majorized_by, margins_realizable
 
 from helpers import partitions
@@ -66,6 +67,16 @@ def test_nonempty_trivial():
 def test_nonempty_fails_on_majorization():
     # conjugate((2,2)) = (2,2) and 3 > 2 at the first prefix
     assert not is_nonempty(Partition((2, 2)), Partition((3, 1)))
+
+
+def test_nonempty_rejects_a_row_longer_than_the_columns(monkeypatch):
+    def bounded_conjugate(p):
+        assert p.part(0) <= 10_000, "conjugate asked for too many parts"
+        return conjugate(p)
+
+    monkeypatch.setattr(ars.partition, "conjugate", bounded_conjugate)
+    assert is_nonempty(Partition((10**12,)), Partition((10**12,))) is False
+    assert is_nonempty(Partition((2, 1)), Partition((2, 1))) is True
 
 
 def test_partition_validation():
