@@ -8,7 +8,9 @@ that some class member carries its covers (`structure.cover_exists`,
 `structure.two_cover_exists`) and raises InfeasibleShift when none
 does.  Every column shift, and the normal form behind interchange
 paths, picks its rows by one rule: largest live sum, bottommost on
-ties."""
+ties.  By Ryser's lemma that rule fills any realizable margins, so the
+shift itself raises InfeasibleShift on unrealizable ones and the
+residual core needs no Gale-Ryser test."""
 
 from __future__ import annotations
 
@@ -22,10 +24,9 @@ from .errors import (
     EmptyClass,
     InfeasibleShift,
     NotSameClass,
-    ResidualInfeasible,
     VerificationFailed,
 )
-from .partition import Partition, is_nonempty, margins_realizable
+from .partition import Partition, is_nonempty
 from . import flow, structure
 
 
@@ -111,15 +112,13 @@ def _residual_core(
     Sorts both residual sequences (stable), builds the canonical matrix
     of the sorted pair, and un-permutes it back into the original row and
     column order.  Returns (unsorted grid, canonical matrix as built).
+    Unrealizable margins make the shift raise InfeasibleShift; an empty
+    sbar, which the shift cannot check, comes only with rbar all zero.
     """
     order_r = _descending_order(rbar)
     order_c = _descending_order(sbar)
     sorted_r = tuple(rbar[i] for i in order_r)
     sorted_c = tuple(sbar[j] for j in order_c)
-    if not margins_realizable(sorted_r, sorted_c):
-        raise ResidualInfeasible(
-            f"residual margins {tuple(rbar)} / {tuple(sbar)} admit no matrix"
-        )
     grid, _ = _shift_block(sorted_r, sorted_c, len(rbar), 0)
     core = [[0] * len(sbar) for _ in rbar]
     for i, row in zip(order_r, grid):

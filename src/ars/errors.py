@@ -46,10 +46,6 @@ class InfeasibleShift(Infeasible):
     ran out of movable ones."""
 
 
-class ResidualInfeasible(Infeasible):
-    """The residual class left after shifting is empty."""
-
-
 class BadCoverOrder(ArsError, ValueError):
     """The two covers do not cross (one dominates the other)."""
 

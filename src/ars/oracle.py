@@ -22,7 +22,10 @@ def enumerate_class(r: Partition, s: Partition) -> Iterator[BinaryMatrix]:
 
     Backtracks column by column, choosing the rows of each column among
     those with remaining capacity, pruning branches whose residual
-    margins fail the Gale-Ryser test.  The open columns' combinations
+    margins fail the Gale-Ryser test.  A column whose rows have the
+    largest residual sums (the least chosen sum is at least every
+    unchosen one) skips that test: by Ryser's lemma such a step keeps a
+    realizable residual realizable.  The open columns' combinations
     iterators sit on an explicit stack, so no recursion limit bounds n.
     Matrices come out in lexicographic order of their column row-sets.
     A caller that wants only a prefix takes it with itertools.islice.
@@ -53,10 +56,14 @@ def enumerate_class(r: Partition, s: Partition) -> Iterator[BinaryMatrix]:
             if combo is None:
                 stack.pop()
                 continue
+            picked = set(combo)
+            # no row sum exceeds n, so an empty column counts as greedy
+            low = min((rr[i] for i in combo), default=n)
+            greedy = all(v <= low for i, v in enumerate(rr) if i not in picked)
             for i in combo:
                 rr[i] -= 1
             chosen.append(combo)
-            if margins_realizable(rr, s.parts[len(chosen):]):
+            if greedy or margins_realizable(rr, s.parts[len(chosen):]):
                 break
         else:
             return

@@ -15,16 +15,19 @@ With the suffix minima
     B[k][j] = min_{k' >= k} t[k'][j]      (down column j)
 
 phi[k][l] = min over i1 <= k, j1 <= l of A[i1][l] + B[k][j1] + (k-i1)(l-j1),
-and phi <= t everywhere.  Cover feasibility is upward closed in both e
-and f, so it is fully described by the frontier front[e], the least
-feasible f for e rows; front is nonincreasing and one staircase walk
-finds it in O(m+n) cell probes.  Every criterion except the full phi
-table reads the frontier.  Per class, t, A, B, the Gale-Ryser verdict,
+and phi <= t everywhere.  One generator yields these terms for a cell;
+phi takes their minimum and a frontier probe stops at the first term
+below t[e][f].  Cover feasibility is upward closed in both e and f, so
+it is fully described by the frontier front[e], the least feasible f
+for e rows; front is nonincreasing and one staircase walk finds it in
+O(m+n) cell probes.  Every criterion except the full phi table reads
+the frontier.  Per class, t, A, B, the Gale-Ryser verdict,
 the frontier and phi are built once and kept in a bounded cache.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -73,9 +76,6 @@ class StructureTable:
     def __getitem__(self, kl: tuple[int, int]) -> int:
         k, l = kl
         return self.values[k][l]
-
-    def min_entry(self) -> int:
-        return min(min(row) for row in self.values)
 
     def render(self) -> str:
         """Aligned grid with 0-based row and column headers."""
@@ -128,17 +128,19 @@ class _ClassTables:
         self.row_min = row_min
         self.col_min = col_min
 
+    def _phi_terms(self, k: int, l: int) -> Iterator[int]:
+        """The terms A[i1][l] + B[k][j1] + (k-i1)(l-j1) whose minimum is
+        phi[k][l], with i1 on the outside and j1 inside."""
+        b = self.col_min[k]
+        for i1 in range(k + 1):
+            a, rows = self.row_min[i1][l], k - i1
+            for j1 in range(l + 1):
+                yield a + b[j1] + rows * (l - j1)
+
     def feasible(self, e: int, f: int) -> bool:
-        """phi[e][f] == t[e][f], stopping at the first (i1, j1) candidate
-        that falls below t[e][f]."""
+        """phi[e][f] == t[e][f], stopping at the first term below t[e][f]."""
         target = self.t[e][f]
-        b = self.col_min[e]
-        for i1 in range(e + 1):
-            gap = target - self.row_min[i1][f]
-            rows = e - i1
-            if any(b[j1] + rows * (f - j1) < gap for j1 in range(f + 1)):
-                return False
-        return True
+        return all(v >= target for v in self._phi_terms(e, f))
 
     @cached_property
     def frontier(self) -> tuple[int, ...]:
@@ -154,17 +156,9 @@ class _ClassTables:
 
     @cached_property
     def phi(self) -> tuple[tuple[int, ...], ...]:
-        a, b = self.row_min, self.col_min
         return tuple(
-            tuple(
-                min(
-                    a[i1][l] + b[k][j1] + (k - i1) * (l - j1)
-                    for i1 in range(k + 1)
-                    for j1 in range(l + 1)
-                )
-                for l in range(len(b[k]))
-            )
-            for k in range(len(b))
+            tuple(min(self._phi_terms(k, l)) for l in range(len(row)))
+            for k, row in enumerate(self.t)
         )
 
 
@@ -199,7 +193,7 @@ def nonempty_by_structure(table: StructureTable) -> bool:
     structure matrix is negative."""
     if table.kind != "T":
         raise ValueError("nonnegativity criterion applies to the structure matrix")
-    return table.min_entry() >= 0
+    return min(min(row) for row in table.values) >= 0
 
 
 def phi_matrix(r: Partition, s: Partition) -> StructureTable:

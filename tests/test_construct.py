@@ -24,7 +24,7 @@ from ars import (
     two_cover_matrix,
     two_cover_parts,
 )
-from ars.construct import _descending_order
+from ars.construct import _descending_order, _residual_core
 from ars.errors import (
     BadCoverOrder,
     BadRange,
@@ -180,6 +180,16 @@ def test_two_cover_residual_consistency():
     for j, sbar in enumerate(parts.residual_col_sums):
         shifted = parts.col_block.row_sums[j] if j < f2 else 0
         assert shifted + sbar == S_69[j]
+
+
+@pytest.mark.parametrize("rbar, sbar, message", [
+    ((2, 1), (3,), "need 3 rows"),
+    ((3, 1), (2, 2), "more ones than the 1 live columns"),
+    ((1, 1), (1,), "more ones than the 0 live columns"),  # weights differ
+])
+def test_residual_core_shift_rejects_unrealizable_margins(rbar, sbar, message):
+    with pytest.raises(InfeasibleShift, match=message):
+        _residual_core(rbar, sbar)
 
 
 def test_two_cover_vacuous_covers_reduce_to_canonical():

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from ars import (
     min_t_term_rank,
     t_term_rank,
 )
+from ars import oracle
 from ars.errors import EmptyClass
 
 from helpers import matrices
@@ -50,6 +53,41 @@ def test_enumerate_members_and_determinism(small_classes):
         for a in mats:
             assert in_class(a, r, s)
         assert tuple(enumerate_class(r, s)) == mats
+
+
+def test_enumerate_order_matches_product_of_column_sets(small_classes):
+    # independent of the backtracking: every choice of one row set per
+    # column, in itertools.product order, kept when its row sums match
+    for (r, s), mats in small_classes.items():
+        m, n = len(r), len(s)
+        expected = []
+        for cols in itertools.product(
+            *(itertools.combinations(range(m), s[j]) for j in range(n))
+        ):
+            sums = [0] * m
+            for rows in cols:
+                for i in rows:
+                    sums[i] += 1
+            if tuple(sums) == r.parts:
+                expected.append(
+                    BinaryMatrix([[int(i in cols[j]) for j in range(n)] for i in range(m)])
+                )
+        assert list(mats) == expected, (r, s)
+
+
+def test_enumerate_skips_gale_ryser_on_greedy_columns(monkeypatch):
+    calls = []
+    realizable = oracle.margins_realizable
+
+    def counting(rows, cols):
+        calls.append(1)
+        return realizable(rows, cols)
+
+    monkeypatch.setattr(oracle, "margins_realizable", counting)
+    n = 3000
+    first = next(enumerate_class(Partition((n,)), Partition((1,) * n)))
+    assert first == BinaryMatrix([[1] * n])
+    assert calls == []
 
 
 def test_brute_rank_worked_example():
