@@ -9,6 +9,8 @@ from typing import NamedTuple
 from .errors import InvalidInterchange
 from .partition import Partition
 
+_BITS = frozenset({0, 1})
+
 
 class BinaryMatrix:
     """An immutable dense m-by-n matrix over {0,1} with cached margins.
@@ -16,25 +18,31 @@ class BinaryMatrix:
     Text format: first line ``m n``, then m lines of n space-separated
     0/1 digits; blank lines and ``#`` comment lines are ignored when
     parsing.  JSON form: ``{"m":..,"n":..,"rows":[[..],..]}``.
+
+    One more slot, ``_rank_state``, belongs to `ars.flow`: it holds the
+    warm t-term-rank kernel of the matrix once the matrix is ranked
+    (None before).  Equality, hashing, repr, the JSON and text forms,
+    pickling and copying ignore it; a copy starts without it.
     """
 
-    __slots__ = ("rows", "m", "n", "row_sums", "col_sums")
+    __slots__ = ("rows", "m", "n", "row_sums", "col_sums", "_rank_state")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        grid = tuple(tuple(int(v) for v in row) for row in rows)
+        grid = tuple(tuple(map(int, row)) for row in rows)
         m = len(grid)
         n = len(grid[0]) if m else 0
         for row in grid:
             if len(row) != n:
                 raise ValueError("ragged rows")
-            for v in row:
-                if v not in (0, 1):
-                    raise ValueError(f"entries must be 0 or 1, got {v}")
+            if not _BITS.issuperset(row):
+                bad = next(v for v in row if v not in _BITS)
+                raise ValueError(f"entries must be 0 or 1, got {bad}")
         self.rows = grid
         self.m = m
         self.n = n
-        self.row_sums = tuple(sum(row) for row in grid)
-        self.col_sums = tuple(sum(row[j] for row in grid) for j in range(n))
+        self.row_sums = tuple(map(sum, grid))
+        self.col_sums = tuple(map(sum, zip(*grid)))
+        self._rank_state = None
 
     @classmethod
     def from_text(cls, text: str) -> "BinaryMatrix":
@@ -93,6 +101,10 @@ class BinaryMatrix:
 
     def __hash__(self) -> int:
         return hash((self.m, self.n, self.rows))
+
+    def __reduce__(self):
+        # rebuild from the rows alone, without the rank kernel state
+        return BinaryMatrix, (self.rows,)
 
     def __repr__(self) -> str:
         return f"BinaryMatrix({list(map(list, self.rows))})"

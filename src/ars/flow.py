@@ -3,7 +3,11 @@ feasibility of margin problems with entrywise capacity bounds.
 
 The t-term rank is a bipartite b-matching (each column takes at most one
 1, each row at most t), computed by a bitmask augmenting-path kernel
-that warm-starts from t to t+1.  The transportation network
+that warm-starts from t to t+1.  The kernel state lives on the matrix,
+in the `_rank_state` slot `BinaryMatrix` keeps for this module, so each
+step runs once per matrix however its ranks are read; once the rank
+profile is final the kernel releases its arrays and keeps only the
+ranks.  The transportation network
 (`FlowNetwork`, Edmonds-Karp) serves `feasible_bounded`, and through
 `build_t_rank_network` it is the independent oracle the rank kernel is
 tested against.
@@ -13,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import islice, repeat
+from itertools import count
 
 from .binmat import BinaryMatrix, CoverSpec
 from .errors import DimensionMismatch
@@ -141,31 +145,50 @@ def build_t_rank_network(a: BinaryMatrix, t: int) -> FlowNetwork:
     return net
 
 
-def t_term_ranks(a: BinaryMatrix) -> Iterator[int]:
-    """Yield the t-term ranks of a for t = 1, 2, ... (without end).
+class _RankKernel:
+    """The warm b-matching state of one matrix, kept in the matrix's
+    `_rank_state` slot so that each kernel step runs once per matrix.
 
     A bipartite b-matching over bitmask rows: owner[j] is the row that
     selected column j (-1 while j is free) and load[i] counts the columns
-    row i selected.  Step t keeps the selection of step t-1, which stays
-    feasible when the row quota grows, and only adds to it: a greedy pass
-    hands free columns to rows below quota, then each row below quota
-    grows by augmenting paths (Kuhn) found by an iterative depth-first
-    search.  Columns seen by a failed search stay marked until the next
-    success, since no free column is reachable through them.  A search
-    visits each column at most once and each step has one success per
-    column it adds, so steps 1..t cost O((rank + t) * n + t * m)
-    operations on n-bit masks.  Once no row is at quota, no step can add
-    a column, so the rank is repeated from then on.
+    row i selected.  ranks[t-1] is the t-term rank, for the steps run so
+    far.  Step t keeps the selection of step t-1, which stays feasible
+    when the row quota grows, and only adds to it: a greedy pass hands
+    free columns to rows below quota, then each row below quota grows by
+    augmenting paths (Kuhn) found by an iterative depth-first search.
+    Columns seen by a failed search stay marked until the next success,
+    since no free column is reachable through them.  A search visits each
+    column at most once and each step has one success per column it adds,
+    so steps 1..t cost O((rank + t) * n + t * m) operations on n-bit
+    masks.  Once no row is at quota, or t reaches the largest row sum
+    `top` (beyond which the quota binds no row), no later step can add a
+    column: the profile is final, the last rank repeats from then on, and
+    adj, owner and load are released (set to None).
     """
-    adj = [sum(1 << j for j, v in enumerate(row) if v) for row in a.rows]
-    m = a.m
-    owner = [-1] * a.n
-    load = [0] * m
-    free = (1 << a.n) - 1
-    rank = 0
-    t = 0
-    while True:
-        t += 1
+
+    __slots__ = ("adj", "owner", "load", "free", "ranks", "top")
+
+    def __init__(self, a: BinaryMatrix):
+        self.adj = [sum(1 << j for j, v in enumerate(row) if v) for row in a.rows]
+        self.owner = [-1] * a.n
+        self.load = [0] * a.m
+        self.free = (1 << a.n) - 1
+        self.ranks: list[int] = []
+        self.top = max(a.row_sums, default=0)
+
+    def rank(self, t: int) -> int:
+        """The t-term rank (t >= 1), running the steps it still needs."""
+        ranks = self.ranks
+        while len(ranks) < t and self.adj is not None:
+            self.step()
+        return ranks[min(t, len(ranks)) - 1]
+
+    def step(self) -> None:
+        """Run step t = len(ranks) + 1 and append its rank."""
+        adj, owner, load, free, ranks = self.adj, self.owner, self.load, self.free, self.ranks
+        m = len(load)
+        t = len(ranks) + 1
+        rank = ranks[-1] if ranks else 0
         for i in range(m):
             take = adj[i] & free
             while take and load[i] < t:
@@ -206,23 +229,48 @@ def t_term_ranks(a: BinaryMatrix) -> Iterator[int]:
                 load[start] += 1
                 rank += 1
                 visited = 0
-        yield rank
-        if t not in load:
-            break
-    yield from repeat(rank)
+        self.free = free
+        ranks.append(rank)
+        if t >= self.top or t not in load:
+            self.adj = self.owner = self.load = None
+
+
+def _kernel(a: BinaryMatrix) -> _RankKernel:
+    """The rank kernel of a, created the first time a is ranked."""
+    kernel = a._rank_state
+    if kernel is None:
+        kernel = a._rank_state = _RankKernel(a)
+    return kernel
+
+
+def t_term_ranks(a: BinaryMatrix) -> Iterator[int]:
+    """Yield the t-term ranks of a for t = 1, 2, ... (without end).
+
+    Computed by a bitmask b-matching kernel that warm-starts step t from
+    step t-1 (see `_RankKernel`).  The kernel state lives on the matrix,
+    so each step runs once per matrix however many generators and
+    `t_term_rank` calls read it, and a value is computed only when it is
+    taken.  Once no row is at quota, or t reaches the largest row sum,
+    the rank repeats; the kernel then releases its arrays and keeps only
+    the ranks.
+    """
+    kernel = _kernel(a)
+    for t in count(1):
+        yield kernel.rank(t)
 
 
 def t_term_rank(a: BinaryMatrix, t: int) -> int:
     """Maximum number of 1s of a selectable with at most one per column
     and at most t per row.
 
-    Read from `t_term_ranks`; t is clamped to the largest row sum, beyond
-    which the quota binds no row, so any t costs at most that many steps.
+    Read from the rank kernel kept on a, which `t_term_ranks` shares:
+    each step up to t runs once per matrix, and the profile is final by
+    the step at the largest row sum, so any t costs at most that many
+    steps (one for a zero matrix).
     """
     if t < 1:
         raise ValueError("t must be a positive integer")
-    steps = max(1, min(t, max(a.row_sums, default=0)))
-    return next(islice(t_term_ranks(a), steps - 1, None))
+    return _kernel(a).rank(t)
 
 
 IntMatrix = tuple[tuple[int, ...], ...]

@@ -1,3 +1,7 @@
+import copy
+import pickle
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +14,7 @@ from ars import (
     in_class,
     is_covered,
     min_cover_value,
+    t_term_ranks,
 )
 from ars.errors import InvalidInterchange
 
@@ -43,10 +48,35 @@ SINGLE_COVER_OUTPUT = BinaryMatrix(
 
 
 def test_constructor_rejects_bad_entries():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^entries must be 0 or 1, got 2$"):
         BinaryMatrix([[0, 2]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^entries must be 0 or 1, got -1$"):
+        BinaryMatrix([[0, 1], [1, -1]])
+    with pytest.raises(ValueError, match="^ragged rows$"):
         BinaryMatrix([[0, 1], [1]])
+    for rows in ([[], [1]], [[1], []]):
+        with pytest.raises(ValueError, match="^ragged rows$"):
+            BinaryMatrix(rows)
+    for m in (0, 1, 3):
+        a = BinaryMatrix([[]] * m)
+        assert (a.m, a.n, a.row_sums, a.col_sums) == (m, 0, (0,) * m, ())
+
+
+def test_ranking_leaves_the_value_unchanged():
+    """The rank kernel state a matrix keeps once ranked shows in none of
+    its value behaviour, and clones start without it."""
+    a, plain = BinaryMatrix(FLOW_EXAMPLE.rows), BinaryMatrix(FLOW_EXAMPLE.rows)
+
+    def value(x):
+        return hash(x), repr(x), x.to_json_obj(), x.to_text(), pickle.dumps(x)
+
+    before = value(a)
+    ranks = list(islice(t_term_ranks(a), 5))
+    assert a._rank_state is not None
+    assert a == plain and value(a) == before == value(plain)
+    for clone in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert clone == a and value(clone) == before and clone._rank_state is None
+        assert list(islice(t_term_ranks(clone), 5)) == ranks
 
 
 def test_cached_margins():

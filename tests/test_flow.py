@@ -83,9 +83,38 @@ def test_rank_rejects_bad_t():
 
 
 def test_rank_huge_t_clamps_to_largest_row_sum():
-    for a in (FLOW_EXAMPLE, BinaryMatrix([[0, 0], [0, 0]]), BinaryMatrix([[1] * 5] * 2)):
+    # in the last matrix a row is still at quota at t = its sum
+    for a in (
+        FLOW_EXAMPLE,
+        BinaryMatrix([[0, 0], [0, 0]]),
+        BinaryMatrix([[1] * 5] * 2),
+        BinaryMatrix([[1, 1, 0], [0, 0, 1]]),
+    ):
         top = max(1, max(a.row_sums))
         assert t_term_rank(a, 10**9) == t_term_rank(a, top)
+        fresh, ranked = BinaryMatrix(a.rows), BinaryMatrix(a.rows)
+        want = t_term_rank(ranked, top)
+        assert t_term_rank(fresh, 10**9) == want == t_term_rank(ranked, 10**9)
+        # the profile is final by step top, so a sweep up to the largest
+        # row sum leaves the kernel with only its ranks
+        for kernel in (fresh._rank_state, ranked._rank_state):
+            assert len(kernel.ranks) <= top
+            assert kernel.adj is kernel.owner is kernel.load is None
+
+
+def test_rank_sequence_runs_one_step_per_value():
+    """The kernel state is made on the first value taken, each value taken
+    runs at most one step, and t_term_rank reuses the steps already run."""
+    a = BinaryMatrix([[1] * 7] * 3)
+    ranks = t_term_ranks(a)
+    assert a._rank_state is None
+    assert next(ranks) == 3
+    assert len(a._rank_state.ranks) == 1
+    assert next(ranks) == 6
+    assert len(a._rank_state.ranks) == 2
+    assert t_term_rank(a, 2) == 6 and len(a._rank_state.ranks) == 2
+    assert t_term_rank(a, 4) == 7 and len(a._rank_state.ranks) == 4
+    assert next(ranks) == 7 and len(a._rank_state.ranks) == 4
 
 
 @st.composite
@@ -106,11 +135,21 @@ def sparse_matrices(draw, max_m=12, max_n=12):
 @given(sparse_matrices(), st.integers(1, 6))
 @settings(max_examples=200, deadline=None)
 def test_rank_kernel_matches_network_oracle(a, k):
-    """The b-matching kernel against Edmonds-Karp on the t-rank network,
-    per t and as one warm-started sequence."""
+    """The b-matching kernel against Edmonds-Karp on the t-rank network.
+    The kernel state stays on the matrix, so each way of reading the
+    ranks starts from a fresh copy: per t, one copy each; as one
+    warm-started sequence; out of order (t = k, then 1..k); and through
+    two generators that take turns running ahead of each other."""
     want = [build_t_rank_network(a, t).max_flow() for t in range(1, k + 1)]
-    assert [t_term_rank(a, t) for t in range(1, k + 1)] == want
-    assert list(islice(t_term_ranks(a), k)) == want
+    assert [t_term_rank(BinaryMatrix(a.rows), t) for t in range(1, k + 1)] == want
+    assert list(islice(t_term_ranks(BinaryMatrix(a.rows)), k)) == want
+    b = BinaryMatrix(a.rows)
+    assert [t_term_rank(b, t) for t in (k, *range(1, k + 1))] == [want[-1], *want]
+    c = BinaryMatrix(a.rows)
+    gens, got = (t_term_ranks(c), t_term_ranks(c)), ([], [])
+    for turn in range(2 * k):
+        got[turn % 2].extend(islice(gens[turn % 2], turn + 1))
+    assert got[0][:k] == want and got[1][:k] == want
 
 
 def test_rank_kernel_matches_scipy_and_networkx():

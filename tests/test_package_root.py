@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import ars
-from ars import BinaryMatrix, CoverSpec, Partition, two_cover_parts
+from ars import BinaryMatrix, CoverSpec, Partition, t_term_rank, two_cover_parts
 from ars.cli import CommandResult
 from ars.counterexample import Check
 from ars.oracle import SearchOutcome
@@ -133,6 +133,13 @@ def _two_cover_parts():
     return two_cover_parts(r, s, (2, 4), (3, 3))
 
 
+def _ranked_matrix():
+    """A matrix ranked at t = 1, so its rank kernel state is set."""
+    a = BinaryMatrix([[1, 1, 1], [1, 0, 0], [0, 0, 1]])
+    assert t_term_rank(a, 1) == 3
+    return a
+
+
 @pytest.mark.parametrize(
     "record, text",
     [
@@ -212,7 +219,9 @@ def test_records_are_immutable(record, field):
         record.extra = 0
 
 
-@pytest.mark.parametrize("record", [CoverSpec(1, 1, rows=(2,), cols=(0,)), TABLE])
+@pytest.mark.parametrize(
+    "record", [CoverSpec(1, 1, rows=(2,), cols=(0,)), TABLE, _ranked_matrix()]
+)
 def test_records_survive_pickle_and_copy(record):
     for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
         assert clone == record and type(clone) is type(record)
