@@ -9,7 +9,8 @@ from typing import NamedTuple
 from .errors import InvalidInterchange
 from .partition import Partition
 
-_BITS = frozenset({0, 1})
+# maps each entry equal to 0 or 1 (False, True, 1.0, ...) to that int
+_BIT = {0: 0, 1: 1}.__getitem__
 
 
 class BinaryMatrix:
@@ -28,15 +29,16 @@ class BinaryMatrix:
     __slots__ = ("rows", "m", "n", "row_sums", "col_sums", "_rank_state")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        grid = tuple(tuple(map(int, row)) for row in rows)
+        try:
+            # a lookup, unlike int(), rejects 0.5 and "1" instead of
+            # truncating or parsing them
+            grid = tuple(tuple(map(_BIT, row)) for row in rows)
+        except KeyError as exc:
+            raise ValueError(f"entries must be 0 or 1, got {exc.args[0]!r}") from None
         m = len(grid)
         n = len(grid[0]) if m else 0
-        for row in grid:
-            if len(row) != n:
-                raise ValueError("ragged rows")
-            if not _BITS.issuperset(row):
-                bad = next(v for v in row if v not in _BITS)
-                raise ValueError(f"entries must be 0 or 1, got {bad}")
+        if any(len(row) != n for row in grid):
+            raise ValueError("ragged rows")
         self.rows = grid
         self.m = m
         self.n = n

@@ -1,5 +1,5 @@
 """Network-flow computations: the t-term rank of a fixed matrix and
-feasibility of margin problems with entrywise capacity bounds.
+feasibility of margin problems whose 1s must lie inside a 0/1 mask.
 
 The t-term rank is a bipartite b-matching (each column takes at most one
 1, each row at most t), computed by a bitmask augmenting-path kernel
@@ -7,8 +7,8 @@ that warm-starts from t to t+1.  The kernel state lives on the matrix,
 in the `_rank_state` slot `BinaryMatrix` keeps for this module, so each
 step runs once per matrix however its ranks are read; once the rank
 profile is final the kernel releases its arrays and keeps only the
-ranks.  The transportation network
-(`FlowNetwork`, Edmonds-Karp) serves `feasible_bounded`, and through
+ranks.  `FlowNetwork` is the one transportation network over unit cells
+(Edmonds-Karp): it serves `feasible_bounded`, and through
 `build_t_rank_network` it is the independent oracle the rank kernel is
 tested against.
 """
@@ -25,110 +25,73 @@ from .partition import Partition
 
 
 class FlowNetwork:
-    """A small max-flow network over integer capacities.
+    """The transportation network source -> rows -> columns -> sink over
+    unit cells, solved by Edmonds-Karp.
 
-    Augmentation uses breadth-first (shortest) augmenting paths over the
-    residual graph, scanning edges in insertion order, so runs are
-    deterministic.  All arithmetic is exact integer arithmetic.
+    Node 0 is the source, row i is node 1+i, column j is node 1+m+j and
+    the sink is node 1+m+n.  Edges go in as source->row i with capacity
+    row_caps[i], then row i->column j with capacity 1 for each cell
+    (i, j) in the order of cells, then column j->sink with capacity
+    col_caps[j].  Augmentation uses breadth-first (shortest) augmenting
+    paths over the residual graph, scanning edges in insertion order, so
+    runs are deterministic.  Every augmenting path crosses a unit cell
+    edge, so each augmentation moves one unit.
     """
 
-    def __init__(self, num_nodes: int, source: int, sink: int):
-        self.num_nodes = num_nodes
-        self.source = source
-        self.sink = sink
+    def __init__(
+        self, row_caps: Sequence[int], col_caps: Sequence[int], cells: Iterable[tuple[int, int]]
+    ):
+        m, n = len(row_caps), len(col_caps)
+        self.num_nodes = m + n + 2
+        self.source = 0
+        self.sink = 1 + m + n
         self._frm: list[int] = []
         self._to: list[int] = []
-        self._res: list[int] = []  # residual capacity
-        self._adj: list[list[int]] = [[] for _ in range(num_nodes)]
-
-    def add_edge(self, u: int, v: int, cap: int) -> int:
-        """Insert a directed edge and its residual twin; returns the
-        forward edge id."""
-        if cap < 0:
-            raise ValueError("capacity must be nonnegative")
-        eid = len(self._to)
-        self._frm.append(u)
-        self._to.append(v)
-        self._res.append(cap)
-        self._adj[u].append(eid)
-        self._frm.append(v)
-        self._to.append(u)
-        self._res.append(0)
-        self._adj[v].append(eid + 1)
-        return eid
-
-    def flow_on(self, eid: int) -> int:
-        """Current flow on a forward edge."""
-        return self._res[eid ^ 1]
+        self._res: list[int] = []  # residual capacity; edge eid ^ 1 is the twin of eid
+        self._adj: list[list[int]] = [[] for _ in range(self.num_nodes)]
+        edges = [(self.source, 1 + i, cap) for i, cap in enumerate(row_caps)]
+        edges += [(1 + i, 1 + m + j, 1) for i, j in cells]
+        edges += [(1 + m + j, self.sink, cap) for j, cap in enumerate(col_caps)]
+        for u, v, cap in edges:
+            self._adj[u].append(len(self._to))
+            self._adj[v].append(len(self._to) + 1)
+            self._frm += (u, v)
+            self._to += (v, u)
+            self._res += (cap, 0)
 
     def edges(self) -> Iterator[tuple[int, int, int, int]]:
         """Forward edges as (from, to, capacity, flow), insertion order.
         Augmenting moves residual capacity between an edge and its twin,
-        so the capacity is the sum of the two."""
+        so the flow is the twin's residual and the capacity the sum."""
         for eid in range(0, len(self._to), 2):
-            flow = self.flow_on(eid)
+            flow = self._res[eid + 1]
             yield self._frm[eid], self._to[eid], self._res[eid] + flow, flow
 
-    def _augment_once(self) -> int:
-        parent_edge = [-1] * self.num_nodes
-        parent_edge[self.source] = -2
-        queue = deque([self.source])
-        while queue:
-            u = queue.popleft()
-            if u == self.sink:
-                break
-            for eid in self._adj[u]:
-                v = self._to[eid]
-                if self._res[eid] > 0 and parent_edge[v] == -1:
-                    parent_edge[v] = eid
-                    queue.append(v)
-        if parent_edge[self.sink] == -1:
-            return 0
-        # bottleneck along the recorded path
-        bottleneck = None
-        v = self.sink
-        while v != self.source:
-            eid = parent_edge[v]
-            res = self._res[eid]
-            bottleneck = res if bottleneck is None else min(bottleneck, res)
-            v = self._frm[eid]
-        assert bottleneck is not None and bottleneck > 0
-        v = self.sink
-        while v != self.source:
-            eid = parent_edge[v]
-            self._res[eid] -= bottleneck
-            self._res[eid ^ 1] += bottleneck
-            v = self._frm[eid]
-        return bottleneck
-
     def max_flow(self) -> int:
+        """Augment until no path is left; returns the units moved."""
         total = 0
         while True:
-            pushed = self._augment_once()
-            if pushed == 0:
+            parent_edge = [-1] * self.num_nodes
+            parent_edge[self.source] = -2
+            queue = deque([self.source])
+            while queue:
+                u = queue.popleft()
+                if u == self.sink:
+                    break
+                for eid in self._adj[u]:
+                    v = self._to[eid]
+                    if self._res[eid] > 0 and parent_edge[v] == -1:
+                        parent_edge[v] = eid
+                        queue.append(v)
+            if parent_edge[self.sink] == -1:
                 return total
-            total += pushed
-
-
-def _transport_network(
-    row_caps: Sequence[int], col_caps: Sequence[int], cells: Iterable[tuple[int, int, int]]
-) -> tuple[FlowNetwork, list[int]]:
-    """The transportation network source -> rows -> columns -> sink.
-
-    Node 0 is the source, row i is node 1+i, column j is node 1+m+j and
-    the sink is node 1+m+n.  Edges go in as source->row i with capacity
-    row_caps[i], then row i->column j with capacity cap for each cell
-    (i, j, cap), then column j->sink with capacity col_caps[j].  Returns
-    the network and the ids of the cell edges, in the order of cells.
-    """
-    m, n = len(row_caps), len(col_caps)
-    net = FlowNetwork(num_nodes=m + n + 2, source=0, sink=1 + m + n)
-    for i, cap in enumerate(row_caps):
-        net.add_edge(net.source, 1 + i, cap)
-    cell_edges = [net.add_edge(1 + i, 1 + m + j, cap) for i, j, cap in cells]
-    for j, cap in enumerate(col_caps):
-        net.add_edge(1 + m + j, net.sink, cap)
-    return net, cell_edges
+            v = self.sink
+            while v != self.source:
+                eid = parent_edge[v]
+                self._res[eid] -= 1
+                self._res[eid ^ 1] += 1
+                v = self._frm[eid]
+            total += 1
 
 
 def build_t_rank_network(a: BinaryMatrix, t: int) -> FlowNetwork:
@@ -141,8 +104,7 @@ def build_t_rank_network(a: BinaryMatrix, t: int) -> FlowNetwork:
     """
     if t < 1:
         raise ValueError("t must be a positive integer")
-    net, _ = _transport_network([t] * a.m, [1] * a.n, ((i, j, 1) for i, j in a.ones()))
-    return net
+    return FlowNetwork([t] * a.m, [1] * a.n, a.ones())
 
 
 class _RankKernel:
@@ -273,38 +235,32 @@ def t_term_rank(a: BinaryMatrix, t: int) -> int:
     return _kernel(a).rank(t)
 
 
-IntMatrix = tuple[tuple[int, ...], ...]
-
-
 def feasible_bounded(
     r: Partition, s: Partition, c: Sequence[Sequence[int]]
-) -> BinaryMatrix | IntMatrix | None:
-    """Find a nonnegative integral matrix with row sums r, column sums s,
-    and entrywise upper bounds c, or report that none exists.
+) -> BinaryMatrix | None:
+    """Find a (0,1)-matrix with row sums r and column sums s whose 1s lie
+    where the 0/1 mask c has a 1, or report that none exists.
 
-    Solved as a transportation flow: source->row i with capacity R_i,
-    row i->column j with capacity c[i][j], column j->sink with capacity
-    S_j; a witness exists iff the max flow moves the full weight.  When
-    every bound is at most 1 the witness comes back as a BinaryMatrix.
+    Solved as a transportation flow over the cells of the mask (see
+    `FlowNetwork`): source->row i with capacity R_i, a unit edge for
+    each cell, column j->sink with capacity S_j; a witness exists iff
+    the max flow moves the full weight.
     """
     m, n = len(r), len(s)
     if len(c) != m or any(len(row) != n for row in c):
         raise DimensionMismatch(f"bounds must be {m}x{n}")
-    if any(v < 0 for row in c for v in row):
-        raise ValueError("bounds must be nonnegative")
+    if any(v not in (0, 1) for row in c for v in row):
+        raise ValueError("bounds must be a 0/1 mask")
     if r.weight != s.weight:
         return None
-    cells = [(i, j, c[i][j]) for i in range(m) for j in range(n) if c[i][j] > 0]
-    net, cell_edges = _transport_network(r.parts, s.parts, cells)
+    net = FlowNetwork(r.parts, s.parts, [(i, j) for i in range(m) for j in range(n) if c[i][j]])
     if net.max_flow() != r.weight:
         return None
     grid = [[0] * n for _ in range(m)]
-    for (i, j, _), eid in zip(cells, cell_edges):
-        grid[i][j] = net.flow_on(eid)
-    entries = tuple(map(tuple, grid))
-    if all(v <= 1 for row in c for v in row):
-        return BinaryMatrix(entries)
-    return entries
+    for u, v, _, flow in net.edges():
+        if flow and u != net.source and v != net.sink:
+            grid[u - 1][v - 1 - m] = 1
+    return BinaryMatrix(grid)
 
 
 def multi_cover_feasible(
@@ -316,9 +272,9 @@ def multi_cover_feasible(
     ones, or an (e, f) pair meaning the prefix cover.  A row lying in
     every cover's row set is unrestricted; any other row may hold 1s only
     in the columns shared by the covers that miss it.  Feasibility then
-    reduces to a bounded margin problem, and a returned matrix certifies
-    all the covers at once.  Absence says nothing about covers of the
-    same sizes in other positions.
+    reduces to a margin problem inside that 0/1 mask, and a returned
+    matrix certifies all the covers at once.  Absence says nothing about
+    covers of the same sizes in other positions.
     """
     m, n = len(r), len(s)
     sets = []
@@ -337,6 +293,4 @@ def multi_cover_feasible(
             if i not in rows:
                 allowed &= cols
         c.append([1 if j in allowed else 0 for j in range(n)])
-    result = feasible_bounded(r, s, c)
-    assert result is None or isinstance(result, BinaryMatrix)
-    return result
+    return feasible_bounded(r, s, c)

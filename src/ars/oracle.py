@@ -102,28 +102,15 @@ def brute_phi(r: Partition, s: Partition) -> tuple[tuple[int, ...], ...]:
 def brute_t_term_rank(a: BinaryMatrix, t: int) -> int:
     """t-term rank by exhaustive assignment: each column is either left
     unselected or assigned to one of its 1-rows, respecting the per-row
-    quota t.  Memoized on (column, per-row usage); no flow machinery."""
+    quota t.  Column by column, keeps the set of per-row usage vectors
+    some assignment of the columns so far reaches; no flow machinery."""
     if t < 1:
         raise ValueError("t must be a positive integer")
-    col_rows = [tuple(i for i in range(a.m) if a.rows[i][j]) for j in range(a.n)]
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
-
-    def best(j: int, used: tuple[int, ...]) -> int:
-        if j == a.n:
-            return 0
-        key = (j, used)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        value = best(j + 1, used)
-        for i in col_rows[j]:
-            if used[i] < t:
-                bumped = used[:i] + (used[i] + 1,) + used[i + 1:]
-                value = max(value, 1 + best(j + 1, bumped))
-        memo[key] = value
-        return value
-
-    return best(0, (0,) * a.m)
+    reach = {(0,) * a.m}
+    for col in zip(*a.rows):
+        rows = [i for i, v in enumerate(col) if v]
+        reach |= {u[:i] + (u[i] + 1,) + u[i + 1:] for u in reach for i in rows if u[i] < t}
+    return max(map(sum, reach))
 
 
 def min_cover_value(a: BinaryMatrix, t: int) -> tuple[int, CoverSpec]:

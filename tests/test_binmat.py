@@ -52,6 +52,16 @@ def test_constructor_rejects_bad_entries():
         BinaryMatrix([[0, 2]])
     with pytest.raises(ValueError, match="^entries must be 0 or 1, got -1$"):
         BinaryMatrix([[0, 1], [1, -1]])
+    # non-integers are rejected, not truncated or parsed
+    with pytest.raises(ValueError, match="^entries must be 0 or 1, got 0.5$"):
+        BinaryMatrix([[0.5, 1.9]])
+    with pytest.raises(ValueError, match="^entries must be 0 or 1, got '1'$"):
+        BinaryMatrix([["1", "0"]])
+    with pytest.raises(ValueError, match="^entries must be 0 or 1, got 0.5$"):
+        BinaryMatrix.from_json_obj({"m": 1, "n": 2, "rows": [[0.5, True]]})
+    # entries equal to 0 or 1 come out as ints
+    assert BinaryMatrix([[True, 1.0, False]]).rows == ((1, 1, 0),)
+    assert set(map(type, BinaryMatrix([[True, 1.0, False]]).rows[0])) == {int}
     with pytest.raises(ValueError, match="^ragged rows$"):
         BinaryMatrix([[0, 1], [1]])
     for rows in ([[], [1]], [[1], []]):
