@@ -47,6 +47,33 @@ class BinaryMatrix:
         self._rank_state = None
 
     @classmethod
+    def from_column_sets(
+        cls,
+        col_rows: Sequence[Iterable[int]],
+        row_sums: Sequence[int],
+        col_sums: Sequence[int],
+    ) -> "BinaryMatrix":
+        """The matrix whose column j has its 1s in the rows col_rows[j],
+        for a caller that already knows its margins: nothing is checked,
+        and row_sums and col_sums are stored as given, so they must be
+        the matrix's own.  The shape is len(row_sums) by len(col_sums).
+        Input from outside goes through the constructor, which checks
+        every entry."""
+        m, n = len(row_sums), len(col_sums)
+        grid = [[0] * n for _ in range(m)]
+        for j, rows in enumerate(col_rows):
+            for i in rows:
+                grid[i][j] = 1
+        a = cls.__new__(cls)
+        a.rows = tuple(map(tuple, grid))
+        a.m = m
+        a.n = n
+        a.row_sums = tuple(row_sums)
+        a.col_sums = tuple(col_sums)
+        a._rank_state = None
+        return a
+
+    @classmethod
     def from_text(cls, text: str) -> "BinaryMatrix":
         lines = [
             ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")

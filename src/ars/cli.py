@@ -11,7 +11,7 @@ import json
 import sys
 from typing import TYPE_CHECKING, Any, NamedTuple
 
-from .errors import ArsError, Infeasible
+from .errors import ArsError, Infeasible, VerificationFailed
 from .partition import Partition, is_nonempty
 
 if TYPE_CHECKING:
@@ -149,7 +149,10 @@ def _cmd_nonempty(args, r: Partition, s: Partition) -> CommandResult:
     by_table = None
     if weights_equal:
         by_table = structure.nonempty_by_structure(structure.structure_matrix(r, s))
-        assert by_table == verdict
+        if by_table != verdict:
+            raise VerificationFailed(
+                f"Gale-Ryser says nonempty={verdict}, the structure table says {by_table}"
+            )
     payload = {
         "kind": "verdict",
         "nonempty": verdict,

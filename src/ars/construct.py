@@ -290,7 +290,8 @@ def interchange_path(a: BinaryMatrix, b: BinaryMatrix) -> tuple[Interchange, ...
         raise NotSameClass("matrices differ in shape or margins")
     path_a, norm_a = _reduce_to_normal(a)
     path_b, norm_b = _reduce_to_normal(b)
-    assert norm_a == norm_b
+    if norm_a != norm_b:
+        raise VerificationFailed("the two matrices reduced to different normal forms")
     return tuple(path_a) + tuple(reversed(path_b))
 
 

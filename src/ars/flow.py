@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import count
+from itertools import compress, count
 
 from .binmat import BinaryMatrix, CoverSpec
 from .errors import DimensionMismatch
@@ -123,18 +123,26 @@ class _RankKernel:
     column at most once and each step has one success per column it adds,
     so steps 1..t cost O((rank + t) * n + t * m) operations on n-bit
     masks.  Once no row is at quota, or t reaches the largest row sum
-    `top` (beyond which the quota binds no row), no later step can add a
-    column: the profile is final, the last rank repeats from then on, and
-    adj, owner and load are released (set to None).
+    `top` (beyond which the quota binds no row), or every nonzero column
+    is selected (`free` meets none of `reach`, the OR of the rows), no
+    later step can add a column: the profile is final, the last rank
+    repeats from then on, and adj, owner and load are released (set to
+    None).  For the same reason a step stops searching for augmenting
+    paths as soon as `free & reach` is empty.
     """
 
-    __slots__ = ("adj", "owner", "load", "free", "ranks", "top")
+    __slots__ = ("adj", "owner", "load", "free", "reach", "ranks", "top")
 
     def __init__(self, a: BinaryMatrix):
-        self.adj = [sum(1 << j for j, v in enumerate(row) if v) for row in a.rows]
+        weights = [1 << j for j in range(a.n)]
+        self.adj = adj = [sum(compress(weights, row)) for row in a.rows]
         self.owner = [-1] * a.n
         self.load = [0] * a.m
         self.free = (1 << a.n) - 1
+        reach = 0
+        for mask in adj:
+            reach |= mask
+        self.reach = reach
         self.ranks: list[int] = []
         self.top = max(a.row_sums, default=0)
 
@@ -147,7 +155,9 @@ class _RankKernel:
 
     def step(self) -> None:
         """Run step t = len(ranks) + 1 and append its rank."""
-        adj, owner, load, free, ranks = self.adj, self.owner, self.load, self.free, self.ranks
+        adj, owner, load, free, reach, ranks = (
+            self.adj, self.owner, self.load, self.free, self.reach, self.ranks
+        )
         m = len(load)
         t = len(ranks) + 1
         rank = ranks[-1] if ranks else 0
@@ -162,7 +172,7 @@ class _RankKernel:
                 rank += 1
         visited = 0
         for start in range(m):
-            while load[start] < t:
+            while load[start] < t and free & reach:
                 # rows[k] takes cols[k] from rows[k+1]; the last column is
                 # free.  A step into a column its row already holds just
                 # re-enters that row, so the path stays valid.
@@ -193,7 +203,7 @@ class _RankKernel:
                 visited = 0
         self.free = free
         ranks.append(rank)
-        if t >= self.top or t not in load:
+        if t >= self.top or t not in load or not free & reach:
             self.adj = self.owner = self.load = None
 
 
@@ -212,9 +222,9 @@ def t_term_ranks(a: BinaryMatrix) -> Iterator[int]:
     step t-1 (see `_RankKernel`).  The kernel state lives on the matrix,
     so each step runs once per matrix however many generators and
     `t_term_rank` calls read it, and a value is computed only when it is
-    taken.  Once no row is at quota, or t reaches the largest row sum,
-    the rank repeats; the kernel then releases its arrays and keeps only
-    the ranks.
+    taken.  Once no row is at quota, t reaches the largest row sum, or
+    every nonzero column is selected, the rank repeats; the kernel then
+    releases its arrays and keeps only the ranks.
     """
     kernel = _kernel(a)
     for t in count(1):

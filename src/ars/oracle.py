@@ -23,43 +23,47 @@ def enumerate_class(r: Partition, s: Partition) -> Iterator[BinaryMatrix]:
     Backtracks column by column, choosing the rows of each column among
     those with remaining capacity, pruning branches whose residual
     margins fail the Gale-Ryser test.  A column whose rows have the
-    largest residual sums (the least chosen sum is at least every
-    unchosen one) skips that test: by Ryser's lemma such a step keeps a
-    realizable residual realizable.  The open columns' combinations
-    iterators sit on an explicit stack, so no recursion limit bounds n.
-    Matrices come out in lexicographic order of their column row-sets.
-    A caller that wants only a prefix takes it with itertools.islice.
+    largest residual sums (their total is the most any s_j rows hold, so
+    the least chosen sum is at least every unchosen one) skips that test:
+    by Ryser's lemma such a step keeps a realizable residual realizable.
+    The open columns' combinations iterators sit on an explicit stack, so
+    no recursion limit bounds n.  Each member is built from its column
+    row-sets by `BinaryMatrix.from_column_sets`, without the constructor's
+    per-entry checks, since the search makes every entry 0/1 and the
+    margins exactly (r, s).  Matrices come out in lexicographic order of
+    their column row-sets.  A caller that wants only a prefix takes it
+    with itertools.islice.
     """
     m, n = len(r), len(s)
     if not is_nonempty(r, s):
         return
     rr = list(r.parts)
     chosen: list[tuple[int, ...]] = []
-    # stack[j] yields the row sets of column j; chosen[j] is the current one
-    stack: list[Iterator[tuple[int, ...]]] = []
+    # stack[j] holds the row sets of column j and the largest residual
+    # total of any s_j rows; chosen[j] is the current row set
+    stack: list[tuple[Iterator[tuple[int, ...]], int]] = []
     while True:
-        if len(chosen) < n:
+        if len(chosen) < n - 1:
+            k = s[len(chosen)]
             live = [i for i in range(m) if rr[i] > 0]
-            stack.append(itertools.combinations(live, s[len(chosen)]))
+            stack.append((itertools.combinations(live, k), sum(sorted(rr, reverse=True)[:k])))
         else:
-            grid = [[0] * n for _ in range(m)]
-            for j, rows in enumerate(chosen):
-                for i in rows:
-                    grid[i][j] = 1
-            yield BinaryMatrix(grid)
+            # the residual is realizable, so the last column must take
+            # exactly the rows still short of their sums
+            last = [tuple(i for i in range(m) if rr[i])] if n else []
+            yield BinaryMatrix.from_column_sets(chosen + last, r.parts, s.parts)
         # advance to the next choice that keeps the residual realizable
         while stack:
             if len(chosen) == len(stack):
                 for i in chosen.pop():
                     rr[i] += 1
-            combo = next(stack[-1], None)
+            combos, most = stack[-1]
+            combo = next(combos, None)
             if combo is None:
                 stack.pop()
                 continue
-            picked = set(combo)
-            # no row sum exceeds n, so an empty column counts as greedy
-            low = min((rr[i] for i in combo), default=n)
-            greedy = all(v <= low for i, v in enumerate(rr) if i not in picked)
+            # only a set of rows with the largest residual sums reaches most
+            greedy = sum(map(rr.__getitem__, combo)) == most
             for i in combo:
                 rr[i] -= 1
             chosen.append(combo)
@@ -99,45 +103,81 @@ def brute_phi(r: Partition, s: Partition) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def brute_t_term_rank(a: BinaryMatrix, t: int) -> int:
-    """t-term rank by exhaustive assignment: each column is either left
-    unselected or assigned to one of its 1-rows, respecting the per-row
-    quota t.  Column by column, keeps the set of per-row usage vectors
-    some assignment of the columns so far reaches; no flow machinery."""
-    if t < 1:
+def brute_t_term_ranks(a: BinaryMatrix, t_max: int) -> tuple[int, ...]:
+    """The t-term ranks for t = 1..t_max by exhaustive assignment: each
+    column is either left unselected or assigned to one of its 1-rows.
+    One pass under the row quota t_max keeps, column by column, the set
+    of per-row usage vectors some assignment of the columns so far
+    reaches; no flow machinery.  Usage only grows along an assignment,
+    so a reached vector whose largest entry is at most t is reached
+    within quota t, and the t-term rank is the largest total among those
+    vectors."""
+    if t_max < 1:
         raise ValueError("t must be a positive integer")
     reach = {(0,) * a.m}
     for col in zip(*a.rows):
         rows = [i for i, v in enumerate(col) if v]
-        reach |= {u[:i] + (u[i] + 1,) + u[i + 1:] for u in reach for i in rows if u[i] < t}
-    return max(map(sum, reach))
+        reach |= {u[:i] + (u[i] + 1,) + u[i + 1:] for u in reach for i in rows if u[i] < t_max}
+    # most[q]: the largest total of a reached vector whose largest entry is q
+    most = [0] * (t_max + 1)
+    for u in reach:
+        q, total = max(u, default=0), sum(u)
+        if total > most[q]:
+            most[q] = total
+    return tuple(itertools.accumulate(most, max))[1:]
 
 
-def min_cover_value(a: BinaryMatrix, t: int) -> tuple[int, CoverSpec]:
-    """Minimize t*e + f over all covers of a with e rows and f columns.
+def brute_t_term_rank(a: BinaryMatrix, t: int) -> int:
+    """The t-term rank by exhaustive assignment (see brute_t_term_ranks);
+    a quota of the largest row sum already binds no row, so a larger t
+    is read there."""
+    return brute_t_term_ranks(a, min(t, max((1, *a.row_sums))))[-1]
 
-    Exhaustive over row subsets; for a fixed row subset the cheapest
-    column set is forced (the columns still containing a 1).  Ties break
+
+def min_cover_values(a: BinaryMatrix, t_max: int) -> tuple[tuple[int, CoverSpec], ...]:
+    """For t = 1..t_max, the least t*e + f over all covers of a with e
+    rows and f columns, with a cover attaining it.
+
+    Exhaustive over row subsets, in one pass for every t: for a fixed row
+    subset the cheapest column set is forced (the columns still
+    containing a 1), so each e keeps its fewest such columns and the
+    first row set, in lexicographic order, leaving that few.  Ties break
     toward the smallest e, then the lexicographically smallest row set.
     Intended for small matrices.
     """
-    if t < 1:
+    if t_max < 1:
         raise ValueError("t must be a positive integer")
-    col_rows = [frozenset(i for i in range(a.m) if a.rows[i][j]) for j in range(a.n)]
-    best_value: int | None = None
-    best: CoverSpec | None = None
+    col_masks = [sum(1 << i for i in range(a.m) if a.rows[i][j]) for j in range(a.n)]
+    row_bits = [1 << i for i in range(a.m)]
+    # fewest[e]: the first row set of size e leaving the fewest columns
+    fewest: list[CoverSpec] = []
     for e in range(a.m + 1):
-        if best_value is not None and t * e >= best_value:
-            break  # every larger row set costs at least t*e
-        for chosen in itertools.combinations(range(a.m), e):
-            row_set = frozenset(chosen)
-            residual_cols = tuple(j for j in range(a.n) if col_rows[j] - row_set)
-            value = t * e + len(residual_cols)
-            if best_value is None or value < best_value:
-                best_value = value
-                best = CoverSpec(e=e, f=len(residual_cols), rows=chosen, cols=residual_cols)
-    assert best is not None and best_value is not None
-    return best_value, best
+        # e rows cost at least t*e, and a cover with fewer rows costs at
+        # most t*(e' + f') for every t
+        if fewest and e >= min(c.e + c.f for c in fewest):
+            break
+        best = None
+        for chosen, covered in zip(
+            itertools.combinations(range(a.m), e), map(sum, itertools.combinations(row_bits, e))
+        ):
+            residual = tuple(j for j, mask in enumerate(col_masks) if mask & ~covered)
+            if best is None or len(residual) < len(best[1]):
+                best = (chosen, residual)
+        rows, cols = best
+        fewest.append(CoverSpec(e=e, f=len(cols), rows=rows, cols=cols))
+    out = []
+    for t in range(1, t_max + 1):
+        value, e = min((t * c.e + c.f, c.e) for c in fewest)
+        out.append((value, fewest[e]))
+    return tuple(out)
+
+
+def min_cover_value(a: BinaryMatrix, t: int) -> tuple[int, CoverSpec]:
+    """Minimize t*e + f over all covers of a with e rows and f columns
+    (see min_cover_values, which gives the same value and cover).  From
+    t = n on, no cover with a row beats the n or fewer nonzero columns,
+    so a larger t is read there."""
+    return min_cover_values(a, min(t, max(1, a.n)))[-1]
 
 
 def brute_min_t_term_rank(r: Partition, s: Partition, t: int) -> int:

@@ -105,9 +105,25 @@ def is_nonempty(r: Partition, s: Partition) -> bool:
 
 
 def margins_realizable(rows: Iterable[int], cols: Iterable[int]) -> bool:
-    """Gale-Ryser feasibility for loose margin sequences (zeros allowed,
-    any order).  Used for residual-margin pruning."""
-    return is_nonempty(Partition.from_loose(rows), Partition.from_loose(cols))
+    """Gale-Ryser feasibility for loose margin sequences (any order;
+    entries below 1 count as absent, as in `Partition.from_loose`): the
+    verdict of `is_nonempty` on the promoted partitions.  It is the
+    residual-margin pruning test of class enumeration, so it works in
+    place, without partitions: with the positive columns c sorted in
+    decreasing order, the weights must agree and every prefix must fit,
+    c_0 + ... + c_{k-1} <= sum_i min(r_i, k).  That is the majorization
+    of c by the conjugate of r; the last prefix also fails a row longer
+    than the number of positive columns."""
+    rs = [v for v in rows if v > 0]
+    cs = sorted((v for v in cols if v > 0), reverse=True)
+    if sum(rs) != sum(cs):
+        return False
+    need = 0
+    for k, c in enumerate(cs, 1):
+        need += c
+        if need > sum(v if v < k else k for v in rs):
+            return False
+    return True
 
 
 def iter_partitions(max_parts: int, weight: int) -> Iterator[Partition]:

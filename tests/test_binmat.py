@@ -1,6 +1,6 @@
 import copy
 import pickle
-from itertools import islice
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +17,7 @@ from ars import (
     t_term_ranks,
 )
 from ars.errors import InvalidInterchange
+from ars.oracle import min_cover_values
 
 from helpers import matrices
 
@@ -218,6 +219,29 @@ def test_min_cover_tie_break_prefers_small_e():
     # the empty matrix is covered by nothing at all
     value, witness = min_cover_value(BinaryMatrix([[0, 0], [0, 0]]), 1)
     assert value == 0 and witness.e == 0 and witness.f == 0
+
+
+@given(matrices(max_m=4, max_n=4), st.integers(1, 6))
+@settings(max_examples=100)
+def test_min_cover_values_keep_the_tie_break(a, k):
+    """Each t's value and cover, from the one pass over row subsets, is
+    the first of every (e, row set) in order of e and then lexicographic
+    row set to reach the least t*e + f; so is min_cover_value's, for
+    every t up to a huge one."""
+    def first_best(t):
+        found = []
+        for e in range(a.m + 1):
+            for rows in combinations(range(a.m), e):
+                left = [i for i in range(a.m) if i not in rows]
+                f = sum(1 for col in zip(*a.rows) if any(col[i] for i in left))
+                found.append((t * e + f, e, rows))
+        return min(found)
+
+    for t, (value, witness) in zip(range(1, k + 1), min_cover_values(a, k)):
+        assert (value, witness.e, witness.rows) == first_best(t)
+        assert min_cover_value(a, t) == (value, witness)
+    value, witness = min_cover_value(a, 10**9)
+    assert (value, witness.e, witness.rows) == first_best(10**9)
 
 
 @given(matrices(max_m=4, max_n=4), st.integers(1, 3))

@@ -335,6 +335,36 @@ def test_error_class_declares_cli_outcome(cls, monkeypatch, capsys):
         assert code == 1 and json.loads(captured.out)["status"] == "error"
 
 
+DISAGREEING_NONEMPTY = """
+import sys
+import ars.structure
+from ars.cli import main
+ars.structure.nonempty_by_structure = lambda table: False
+sys.exit(main(["--json", "nonempty", "-r", "2,1", "-s", "2,1"]))
+"""
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "-O"])
+def test_nonempty_disagreeing_checks_are_an_internal_fault(optimize):
+    """Gale-Ryser and the structure table must agree.  A disagreement is
+    a bug: status error and exit 1, with no traceback, also under -O."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    flags = ["-O"] if optimize else []
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", DISAGREEING_NONEMPTY],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 1 and proc.stderr == ""
+    doc = json.loads(proc.stdout)
+    assert doc["status"] == "error"
+    assert doc["payload"]["message"] == (
+        "Gale-Ryser says nonempty=True, the structure table says False"
+    )
+
+
 def test_bad_partition_is_usage_error(capsys):
     assert main(["nonempty", "-r", "1,2", "-s", "2,1"]) == 2
     err = capsys.readouterr().err

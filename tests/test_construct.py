@@ -24,6 +24,7 @@ from ars import (
     two_cover_matrix,
     two_cover_parts,
 )
+import ars.construct
 from ars.construct import _descending_order, _residual_core
 from ars.errors import (
     BadCoverOrder,
@@ -245,6 +246,15 @@ def test_interchange_path_rejects_different_margins():
         interchange_path(BinaryMatrix([[1, 0]]), BinaryMatrix([[1, 1]]))
     with pytest.raises(NotSameClass):
         interchange_path(BinaryMatrix([[1, 0], [0, 1]]), BinaryMatrix([[1, 0]]))
+
+
+def test_interchange_path_different_normal_forms_is_an_internal_fault(monkeypatch):
+    # both matrices reduce to one normal form; a mismatch would be a bug
+    a = BinaryMatrix([[1, 0], [0, 1]])
+    forms = iter([([], a), ([], BinaryMatrix([[0, 1], [1, 0]]))])
+    monkeypatch.setattr(ars.construct, "_reduce_to_normal", lambda m: next(forms))
+    with pytest.raises(VerificationFailed, match="different normal forms"):
+        interchange_path(a, a)
 
 
 def test_interchange_path_replay(small_classes):

@@ -21,7 +21,7 @@ from ars import (
 )
 from ars.binmat import CoverSpec
 from ars.errors import DimensionMismatch
-from ars.oracle import brute_t_term_rank
+from ars.oracle import brute_t_term_rank, brute_t_term_ranks, min_cover_values
 
 from helpers import matrices
 
@@ -114,8 +114,23 @@ def test_rank_sequence_runs_one_step_per_value():
     assert next(ranks) == 6
     assert len(a._rank_state.ranks) == 2
     assert t_term_rank(a, 2) == 6 and len(a._rank_state.ranks) == 2
-    assert t_term_rank(a, 4) == 7 and len(a._rank_state.ranks) == 4
-    assert next(ranks) == 7 and len(a._rank_state.ranks) == 4
+    # at t = 3 every column is selected (rank 7 = n), so the profile is
+    # final after three steps
+    assert t_term_rank(a, 4) == 7 and len(a._rank_state.ranks) == 3
+    assert next(ranks) == 7 and len(a._rank_state.ranks) == 3
+
+
+def test_rank_final_once_every_nonzero_column_is_selected():
+    """Both rows are at quota after step 1 and t = 1 is below the largest
+    row sum, yet the profile is final: the only free column is all zero."""
+    a = BinaryMatrix([[1, 1, 0], [1, 1, 0]])
+    assert t_term_rank(a, 1) == 2
+    kernel = a._rank_state
+    assert kernel.ranks == [2]
+    assert kernel.adj is kernel.owner is kernel.load is None
+    assert t_term_rank(a, 5) == 2 and kernel.ranks == [2]
+    for t in (1, 2, 3):
+        assert build_t_rank_network(a, t).max_flow() == 2
 
 
 @st.composite
@@ -184,10 +199,9 @@ def test_rank_equalities_exhaustive_small():
             for bits in range(1 << (m * n)):
                 rows = [[(bits >> (i * n + j)) & 1 for j in range(n)] for i in range(m)]
                 a = BinaryMatrix(rows)
-                for t in range(1, 6):
-                    value = t_term_rank(a, t)
-                    assert value == brute_t_term_rank(a, t)
-                    assert value == min_cover_value(a, t)[0]
+                ranks = tuple(islice(t_term_ranks(a), 5))
+                assert ranks == brute_t_term_ranks(a, 5)
+                assert ranks == tuple(value for value, _ in min_cover_values(a, 5))
 
 
 def test_rank_equalities_random_6x6():

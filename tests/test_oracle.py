@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -88,6 +89,32 @@ def test_enumerate_skips_gale_ryser_on_greedy_columns(monkeypatch):
     first = next(enumerate_class(Partition((n,)), Partition((1,) * n)))
     assert first == BinaryMatrix([[1] * n])
     assert calls == []
+    # the counter sees the calls the enumerator makes: in this class the
+    # first column may take rows 1 and 2, which is not greedy
+    assert len(list(enumerate_class(Partition((2, 1, 1)), Partition((2, 1, 1))))) == 5
+    assert calls
+
+
+def test_enumerated_members_match_the_constructor(small_classes):
+    """Members are built without the constructor's checks; each must be
+    indistinguishable from the same rows passed through it.  The fixture's
+    members may have been ranked by other tests, so the classes are
+    enumerated afresh."""
+    empty = Partition(())
+    assert list(enumerate_class(empty, empty)) == [BinaryMatrix([])]
+    for r, s in [*small_classes, (empty, empty)]:
+        for a in enumerate_class(r, s):
+            b = BinaryMatrix([list(row) for row in a.rows])
+            assert (a.rows, a.m, a.n, a.row_sums, a.col_sums) == (
+                b.rows, b.m, b.n, b.row_sums, b.col_sums
+            )
+            assert all(type(v) is int for row in a.rows for v in row)
+            assert type(a.rows) is tuple and all(type(row) is tuple for row in a.rows)
+            assert type(a.row_sums) is tuple and type(a.col_sums) is tuple
+            assert a == b and hash(a) == hash(b)
+            assert pickle.loads(pickle.dumps(a)) == b
+            assert pickle.dumps(a) == pickle.dumps(b)
+            assert a._rank_state is None
 
 
 def test_brute_rank_worked_example():

@@ -1,10 +1,11 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ars.partition
 from ars import Partition, conjugate, is_nonempty, iter_partitions, majorized_by, margins_realizable
 
-from helpers import partitions
+from helpers import matrices, partitions
 
 
 def test_conjugate_worked_example():
@@ -102,6 +103,40 @@ def test_text_round_trip():
 def test_margins_realizable_loose():
     assert margins_realizable((1, 0, 2), (2, 1, 0))
     assert not margins_realizable((2, 2), (3, 1))
+    # a row longer than the positive columns, though not than all columns
+    assert not margins_realizable((3,), (2, 1, 0, 0))
+    assert not margins_realizable((3, 1), (0, 2, 2, 0))
+    assert margins_realizable((), ()) and margins_realizable((0, 0), (0,))
+    assert not margins_realizable((1,), ()) and not margins_realizable((), (1,))
+
+
+def _gale_ryser(rows, cols):
+    return is_nonempty(Partition.from_loose(rows), Partition.from_loose(cols))
+
+
+@given(st.lists(st.integers(0, 7), max_size=7), st.lists(st.integers(0, 7), max_size=7))
+@settings(max_examples=300)
+def test_margins_realizable_matches_gale_ryser(rows, cols):
+    """Loose sequences: zeros, any order and, mostly, unequal weights."""
+    want = _gale_ryser(rows, cols)
+    assert margins_realizable(rows, cols) == want
+    assert margins_realizable(iter(rows), iter(cols)) == want
+
+
+@given(matrices(max_m=6, max_n=6), st.data())
+@settings(max_examples=300)
+def test_margins_realizable_matches_gale_ryser_at_equal_weight(a, data):
+    """The margins of a matrix, shuffled, with zero lines, and with one
+    unit moved between two rows, which may make them unrealizable."""
+    rows = data.draw(st.permutations(a.row_sums + (0,) * data.draw(st.integers(0, 2))))
+    cols = data.draw(st.permutations(a.col_sums + (0,) * data.draw(st.integers(0, 2))))
+    assert margins_realizable(rows, cols)
+    i, j = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, len(rows) - 1))
+    if rows[j]:
+        moved = list(rows)
+        moved[i] += 1
+        moved[j] -= 1
+        assert margins_realizable(moved, cols) == _gale_ryser(moved, cols)
 
 
 def test_iter_partitions_counts():
