@@ -15,6 +15,7 @@ residual core needs no Gale-Ryser test."""
 from __future__ import annotations
 
 from collections.abc import Sequence
+from operator import gt
 from typing import NamedTuple
 
 from .binmat import BinaryMatrix
@@ -38,12 +39,12 @@ def _descending_order(seq: Sequence[int]) -> list[int]:
 
 def _pick_rows(sums: Sequence[int], amount: int) -> list[int]:
     """The `amount` rows of largest current sum, bottommost on ties."""
-    candidates = [i for i, v in enumerate(sums) if v > 0]
-    if len(candidates) < amount:
-        raise InfeasibleShift(
-            f"need {amount} rows with ones left, only {len(candidates)} available"
-        )
-    return sorted(candidates, key=lambda i: (-sums[i], -i))[:amount]
+    m = len(sums)
+    # the key sums[i]*m + i orders rows by sum, then by index
+    keys = sorted([v * m + i for i, v in enumerate(sums) if v > 0], reverse=True)
+    if len(keys) < amount:
+        raise InfeasibleShift(f"need {amount} rows with ones left, only {len(keys)} available")
+    return [key % m for key in keys[:amount]]
 
 
 def _shift_block(
@@ -260,23 +261,21 @@ def _reduce_to_normal(a: BinaryMatrix) -> tuple[list[Interchange], BinaryMatrix]
     sums = list(a.row_sums)
     path: list[Interchange] = []
     for k in range(a.n - 1, -1, -1):
-        need = a.col_sums[k]
-        want = _pick_rows(sums, need)
-        have = {i for i in range(a.m) if grid[i][k]}
-        want_set = set(want)
-        while want_set != have:
-            i = next(row for row in want if row not in have)
-            ip = min(have - want_set)
+        want = _pick_rows(sums, a.col_sums[k])
+        have = [i for i, row in enumerate(grid) if row[k]]
+        want_set, have_set = set(want), set(have)
+        # each wanted row without a 1 in column k, in pick order, takes
+        # the 1 of the topmost unwanted row that has one
+        extra = [ip for ip in have if ip not in want_set]
+        for i, ip in zip((i for i in want if i not in have_set), extra):
             # row i owns strictly more live ones left of column k than
             # row ip, so a pivot column always exists
-            j = next(c for c in range(k) if grid[i][c] and not grid[ip][c])
+            j = list(map(gt, grid[i][:k], grid[ip])).index(True)
             grid[i][j] = 0
             grid[i][k] = 1
             grid[ip][j] = 1
             grid[ip][k] = 0
             path.append((i, ip, j, k))
-            have.discard(ip)
-            have.add(i)
         for i in want:
             sums[i] -= 1
     return path, BinaryMatrix(grid)

@@ -7,7 +7,8 @@ from collections.abc import Iterable, Iterator, Sequence
 
 
 class Partition:
-    """A nonincreasing sequence of positive integers with a cached weight.
+    """A nonincreasing sequence of positive integers with a cached weight
+    and hash.
 
     The empty partition (weight 0) is allowed.  Residual vectors produced
     by the shifting constructions may contain zeros or be out of order;
@@ -15,7 +16,7 @@ class Partition:
     :meth:`from_loose`, which sorts and strips zeros.
     """
 
-    __slots__ = ("parts", "weight")
+    __slots__ = ("parts", "weight", "_hash")
 
     def __init__(self, parts: Iterable[int]):
         ps = tuple(int(p) for p in parts)
@@ -26,6 +27,7 @@ class Partition:
             raise ValueError(f"parts must be positive, got {ps}")
         self.parts = ps
         self.weight = sum(ps)
+        self._hash = hash(ps)
 
     @classmethod
     def from_loose(cls, seq: Iterable[int]) -> "Partition":
@@ -58,7 +60,7 @@ class Partition:
         return isinstance(other, Partition) and self.parts == other.parts
 
     def __hash__(self) -> int:
-        return hash(self.parts)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Partition({self.parts})"

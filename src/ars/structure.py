@@ -9,15 +9,20 @@ certifies prefix covers: some class member has all its 1s inside the
 first e rows and first f columns exactly when phi[e][f] == t[e][f].  The
 two-cover analogue psi plays the same role for a pair of prefix covers.
 
-With the suffix minima
+t is convex along every row and every column.  A step right in row k
+adds k - S_{l+1} and a step down column l adds l - R_{k+1}; both rise
+because R and S are nonincreasing.  So row k falls until column
+S*_k = #{j : S_j > k} and rises after it, column l falls until row
+R*_l = #{i : R_i > l}, and the suffix minima are lookups:
 
-    A[i][l] = min_{l' >= l} t[i][l']      (along row i)
-    B[k][j] = min_{k' >= k} t[k'][j]      (down column j)
+    A[i][l] = min_{l' >= l} t[i][l'] = t[i][max(l, S*_i)]
+    B[k][j] = min_{k' >= k} t[k'][j] = t[max(k, R*_j)][j]
 
 phi[k][l] = min over i1 <= k, j1 <= l of A[i1][l] + B[k][j1] + (k-i1)(l-j1),
-and phi <= t everywhere.  One generator yields these terms for a cell;
-phi takes their minimum and a frontier probe stops at the first term
-below t[e][f].  Cover feasibility is upward closed in both e and f, so
+and phi <= t everywhere.  With x = k - i1 the minimum over j1 is a lower
+envelope of lines in x, which `_envelope` gives for every x at once, so
+one cell costs O(k + l) and the whole table O(mn(m+n)).  psi uses the
+same envelope.  Cover feasibility is upward closed in both e and f, so
 it is fully described by the frontier front[e], the least feasible f
 for e rows; front is nonincreasing and one staircase walk finds it in
 O(m+n) cell probes.  Every criterion except the full phi table reads
@@ -27,8 +32,9 @@ the frontier and phi are built once and kept in a bounded cache.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from functools import cached_property, lru_cache
+from itertools import accumulate
+from operator import add
 from typing import NamedTuple
 
 from .errors import BadRange, DimensionTooSmall, EmptyClass, WeightMismatch
@@ -93,54 +99,85 @@ class StructureTable:
         return {"kind": self.kind, "values": [list(row) for row in self.values]}
 
 
+def _conjugate_counts(p: Partition, top: int) -> list[int]:
+    """counts[z] = #{parts of p above z} for z = 0..top: the conjugate of
+    p, cut or zero-padded to top+1 entries."""
+    parts, j = p.parts, len(p.parts)
+    counts = []
+    for z in range(top + 1):
+        while j and parts[j - 1] <= z:
+            j -= 1
+        counts.append(j)
+    return counts
+
+
+def _envelope(values, c: int, top: int) -> list[int]:
+    """E[x] = min over j <= c of values[j] + x*(c-j), for x = 0..top.
+
+    The minimizing j for x is a vertex of the lower convex hull of the
+    points (j, values[j]): the one whose left edge is at most x steep and
+    whose right edge is steeper.  Edge slopes rise along the hull, so the
+    vertices take turns in order as x rises, each over a run of x on
+    which E is an arithmetic progression.  The last point, (c,
+    values[c]), is always a vertex.  O(c + top) in all.
+    """
+    js: list[int] = []
+    vs: list[int] = []
+    for j, v in enumerate(values[: c + 1]):
+        # drop the last vertex while it lies on or above the chord to (j, v)
+        while len(js) > 1 and (vs[-1] - vs[-2]) * (j - js[-2]) >= (v - vs[-2]) * (js[-1] - js[-2]):
+            js.pop()
+            vs.pop()
+        js.append(j)
+        vs.append(v)
+    out: list[int] = []
+    x = 0
+    for h in range(len(js) - 1):
+        j, v = js[h], vs[h]
+        # vertex h serves x up to the slope of its right edge, rounded up
+        end = min(top + 1, -((v - vs[h + 1]) // (js[h + 1] - j)))
+        if end > x:
+            k = c - j
+            out.extend(range(v + x * k, v + end * k, k))
+            x = end
+    out.extend([vs[-1]] * (top + 1 - x))
+    return out
+
+
 class _ClassTables:
     """Everything the structure layer derives from one pair (r, s).
 
-    t, its suffix minima and the Gale-Ryser verdict are built at once in
-    O(mn); the frontier and the full phi table are built on first use.
+    t, the prefix sums pref_s[l] = S_1 + ... + S_l, the suffix sums
+    suf_r[k] = R_{k+1} + ... + R_m, S*, the suffix minima A (stored by
+    column, a_cols[l][i] = A[i][l]) and B (b_rows[k][j] = B[k][j]) and
+    the Gale-Ryser verdict are built at once in O(mn), mostly by slicing;
+    the frontier and the full phi table are built on first use.
     """
 
     def __init__(self, r: Partition, s: Partition):
         if r.weight != s.weight:
             raise WeightMismatch(f"weights differ: {r.weight} vs {s.weight}")
         m, n = len(r), len(s)
-        pref_s = [0] * (n + 1)
-        for j, v in enumerate(s):
-            pref_s[j + 1] = pref_s[j] + v
-        suf_r = [0] * (m + 2)
-        for i in range(m - 1, -1, -1):
-            suf_r[i + 1] = suf_r[i + 2] + r[i]
-        self.t = tuple(
-            tuple(k * l - pref_s[l] + suf_r[k + 1] for l in range(n + 1))
-            for k in range(m + 1)
-        )
+        self.pref_s = list(accumulate(s, initial=0))
+        self.suf_r = list(accumulate(reversed(r.parts), initial=0))[::-1]
+        row = tuple(r.weight - p for p in self.pref_s)
+        t = [row]
+        for v in r:  # t[k][l] - t[k-1][l] = l - R_k
+            row = tuple(map(add, row, range(-v, n + 1 - v)))
+            t.append(row)
+        self.t = tuple(t)
         self.nonempty = is_nonempty(r, s)
-        row_min = []  # A
-        for row in self.t:
-            acc = list(row)
-            for l in range(n - 1, -1, -1):
-                acc[l] = min(acc[l], acc[l + 1])
-            row_min.append(acc)
-        col_min = [list(self.t[m])]  # B, built from the bottom row up
-        for k in range(m - 1, -1, -1):
-            col_min.append([min(v, w) for v, w in zip(self.t[k], col_min[-1])])
-        col_min.reverse()
-        self.row_min = row_min
-        self.col_min = col_min
+        self.s_star = _conjugate_counts(s, m)
+        r_star = _conjugate_counts(r, n)
+        self.a_cols = tuple(zip(*((row[p],) * p + row[p:] for row, p in zip(t, self.s_star))))
+        # R*_j > k exactly for j < R_{k+1}, where B[k][j] is column j's minimum
+        col_min = [t[k][l] for l, k in enumerate(r_star)]
+        self.b_rows = [col_min[:v] + list(row[v:]) for row, v in zip(t, (*r.parts, 0))]
 
-    def _phi_terms(self, k: int, l: int) -> Iterator[int]:
-        """The terms A[i1][l] + B[k][j1] + (k-i1)(l-j1) whose minimum is
-        phi[k][l], with i1 on the outside and j1 inside."""
-        b = self.col_min[k]
-        for i1 in range(k + 1):
-            a, rows = self.row_min[i1][l], k - i1
-            for j1 in range(l + 1):
-                yield a + b[j1] + rows * (l - j1)
-
-    def feasible(self, e: int, f: int) -> bool:
-        """phi[e][f] == t[e][f], stopping at the first term below t[e][f]."""
-        target = self.t[e][f]
-        return all(v >= target for v in self._phi_terms(e, f))
+    def phi_at(self, k: int, l: int) -> int:
+        """phi[k][l] = min over x of A[k-x][l] + E[x], where E[x] is the
+        minimum over j1 <= l of B[k][j1] + x(l-j1): O(k + l)."""
+        return min(map(add, self.a_cols[l][k::-1], _envelope(self.b_rows[k], l, k)))
 
     @cached_property
     def frontier(self) -> tuple[int, ...]:
@@ -148,8 +185,8 @@ class _ClassTables:
         # in e, so each row starts where the previous one stopped
         f = len(self.t[0]) - 1
         front = []
-        for e in range(len(self.t)):
-            while f > 0 and self.feasible(e, f - 1):
+        for e, row in enumerate(self.t):
+            while f > 0 and self.phi_at(e, f - 1) == row[f - 1]:
                 f -= 1
             front.append(f)
         return tuple(front)
@@ -157,7 +194,7 @@ class _ClassTables:
     @cached_property
     def phi(self) -> tuple[tuple[int, ...], ...]:
         return tuple(
-            tuple(min(self._phi_terms(k, l)) for l in range(len(row)))
+            tuple(self.phi_at(k, l) for l in range(len(row)))
             for k, row in enumerate(self.t)
         )
 
@@ -201,9 +238,11 @@ def phi_matrix(r: Partition, s: Partition) -> StructureTable:
 
     phi[k][l] = min{ t[i1][l+j2] + t[k+i2][j1] + (k-i1)(l-j1) } over all
     0 <= i1 <= k <= k+i2 <= m and 0 <= j1 <= l <= l+j2 <= n.  The free
-    j2 and i2 are taken out by the suffix minima A[i1][l] and B[k][j1]
-    (see the module docstring), leaving a minimum over (i1, j1) per cell:
-    O(m^2 n^2) for the whole table.  Requires a nonempty class.
+    j2 and i2 are taken out by the suffix minima A[i1][l] and B[k][j1],
+    which convexity turns into lookups (see the module docstring).  With
+    x = k - i1 the minimum over j1 is a lower envelope of lines in x,
+    found for every x at once in O(k + l), so the whole table costs
+    O(mn(m+n)).  Requires a nonempty class.
     """
     return StructureTable(values=_nonempty_tables(r, s).phi, kind="Phi")
 
@@ -213,8 +252,9 @@ def cover_frontier(r: Partition, s: Partition) -> tuple[int, ...]:
     inside the first e rows and first f columns, for e = 0..m.
 
     Nonincreasing in e; found by one staircase walk over the cells of
-    the frontier, O(m+n) probes of phi[e][f] == t[e][f], each stopping at
-    the first candidate below t[e][f].  Requires a nonempty class.
+    the frontier, O(m+n) probes of phi[e][f] == t[e][f], each one cell
+    of phi in O(e + f), so O((m+n)^2) in all.  Requires a nonempty
+    class.
     """
     return _nonempty_tables(r, s).frontier
 
@@ -223,9 +263,8 @@ def cover_exists(r: Partition, s: Partition, e: int, f: int) -> bool:
     """True iff some class member has all its 1s inside the first e rows
     and first f columns, i.e. phi[e][f] == t[e][f].  Feasibility is
     upward closed in e and f, so this is f >= cover_frontier(r, s)[e]."""
-    m, n = len(r), len(s)
-    if not (0 <= e <= m and 0 <= f <= n):
-        raise BadRange(f"cover ({e},{f}) out of range for {m}x{n}")
+    if not (0 <= e <= len(r.parts) and 0 <= f <= len(s.parts)):
+        raise BadRange(f"cover ({e},{f}) out of range for {len(r)}x{len(s)}")
     return f >= _nonempty_tables(r, s).frontier[e]
 
 
@@ -255,27 +294,35 @@ def psi(r: Partition, s: Partition, a: int, b: int, c: int, d: int) -> int:
 
     over 0 <= i1 <= a <= a+i2 <= b <= b+i3 <= m and
     0 <= j1 <= c <= c+j2 <= d <= d+j3 <= n.  The free j3 and i3 are
-    taken out by the suffix minima A[i1][d] and B[b][j1].  The two j1
-    terms share the factor c-j1, so j1 is minimized once for each value
-    of b-i1-i2, leaving O(bc + a(b-a)(d-c)) work.
+    taken out by the suffix minima A[i1][d] and B[b][j1].  With
+    z = i1 + i2:
+
+    - the two j1 terms share the factor c-j1, so the j1 part is the
+      lower envelope of B[b][j1] + x(c-j1) at x = b - z;
+    - t[a+i2][c+j2] - (a-i1)j2 is convex in j2 with steps
+      z - S_{c+j2+1}, so its minimum lies at c + j2 = clip(S*_z, c, d),
+      which depends on z alone.
+
+    That leaves psi = min over i1, i2 of u[i1] + w[i2] + h[i1+i2], with
+    u[i1] = A[i1][d] + (a-i1)(d-c), w[i2] = (a+i2)c + R_{a+i2+1} + ...
+    + R_m and h[z] the rest: O(a(b-a) + b + c) work.  Requires a
+    nonempty class.
     """
     m, n = len(r), len(s)
     if not (0 <= a < b <= m):
         raise BadRange(f"need 0 <= a < b <= m, got a={a}, b={b}, m={m}")
     if not (0 <= c < d <= n):
         raise BadRange(f"need 0 <= c < d <= n, got c={c}, d={d}, n={n}")
-    tables = _class_tables(r, s)
-    t, row_min = tables.t, tables.row_min
-    col_b = tables.col_min[b]
-    # (b-a-i2)(c-j1) + (a-i1)(c-j1) = (b-i1-i2)(c-j1)
-    best_j1 = [min(col_b[j1] + z * (c - j1) for j1 in range(c + 1)) for z in range(b + 1)]
-    return min(
-        row_min[i1][d]
-        + best_j1[b - i1 - i2]
-        + min(t[a + i2][c + j2] + (a - i1) * (d - c - j2) for j2 in range(d - c + 1))
-        for i1 in range(a + 1)
-        for i2 in range(b - a + 1)
-    )
+    tables = _nonempty_tables(r, s)
+    pref_s, s_star = tables.pref_s, tables.s_star
+    u = [av + (a - i1) * (d - c) for i1, av in enumerate(tables.a_cols[d][: a + 1])]
+    w = [k * c + q for k, q in enumerate(tables.suf_r[a : b + 1], a)]
+    env = _envelope(tables.b_rows[b], c, b)
+    h = []
+    for z in range(b + 1):
+        l = min(max(s_star[z], c), d)  # the best c + j2
+        h.append(env[b - z] + z * (l - c) - pref_s[l])
+    return min(ui + min(map(add, w, h[i1:])) for i1, ui in enumerate(u))
 
 
 def two_cover_exists(

@@ -304,6 +304,20 @@ def test_exit_codes(capsys):
     assert json.loads(capsys.readouterr().out)["status"] == "infeasible"
 
 
+def test_psi_on_empty_class_is_infeasible(capsys):
+    """psi, like phi, needs a nonempty class: an empty one is data."""
+    for argv in (["psi", "-a", "0", "-b", "1", "-c", "0", "-d", "1"], ["phi"]):
+        assert main(["--json", argv[0], "-r", "2", "-s", "2", *argv[1:]]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out == {
+            "payload": {
+                "kind": "message",
+                "message": "no matrix has row sums (2,) and column sums (2,)",
+            },
+            "status": "infeasible",
+        }
+
+
 ERROR_CLASSES = sorted(
     (obj for obj in vars(ars.errors).values()
      if isinstance(obj, type) and issubclass(obj, ars.errors.ArsError)

@@ -157,3 +157,13 @@ def test_iter_partitions_are_valid():
 def test_zero_padded_access():
     p = Partition((3, 1))
     assert p.part(0) == 3 and p.part(1) == 1 and p.part(5) == 0
+
+
+def test_hash_survives_pickle_and_copy():
+    import copy
+    import pickle
+
+    p = Partition((6, 5, 4, 3, 3, 2, 2, 1, 1))
+    for clone in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert clone == p and hash(clone) == hash(p) == hash(p.parts)
+    assert {Partition((2, 1)): 1}[Partition.from_loose((1, 0, 2))] == 1

@@ -1,26 +1,31 @@
+import hashlib
 import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ars import (
     Partition,
     BinaryMatrix,
     cover_exists,
+    interchange_path,
     is_nonempty,
     min_t_term_rank,
+    modified_ryser,
     nonempty_by_structure,
     phi_matrix,
     psi,
+    ryser_canonical,
     structure_matrix,
     two_cover_exists,
+    two_cover_matrix,
     uniform_minimizer_hypotheses,
 )
 from ars.errors import BadRange, DimensionTooSmall, EmptyClass, WeightMismatch
 from ars.oracle import brute_phi
-from ars.structure import cover_frontier
+from ars.structure import _envelope, cover_frontier
 
 from helpers import matrices
 
@@ -177,8 +182,8 @@ def test_psi_regression_and_brute():
     assert psi(r, s, 0, 1, 0, 1) == 0 == psi_brute(r, s, 0, 1, 0, 1)
 
 
-def test_psi_matches_brute_on_small_pairs(small_pairs):
-    for r, s in small_pairs[:40]:
+def test_psi_matches_brute_on_small_pairs(small_classes):
+    for r, s in list(small_classes)[:40]:
         m, n = len(r), len(s)
         for a, b in itertools.combinations(range(m + 1), 2):
             for c, d in itertools.combinations(range(n + 1), 2):
@@ -199,6 +204,22 @@ def test_psi_matches_brute_on_seeded_classes():
             assert psi(r, s, lo, hi, left, right) == psi_brute(r, s, lo, hi, left, right)
 
 
+@given(
+    st.lists(st.integers(-6, 6), min_size=1, max_size=12),
+    st.integers(0, 11),
+    st.integers(0, 14),
+)
+@example([0], 0, 0)
+@example([-3, -3, -3], 2, 5)
+@example([5, -2, 7, -2, 0], 4, 0)
+@example([4, 1, 0, 1, 4], 0, 3)
+@settings(max_examples=300, deadline=None)
+def test_envelope_matches_direct_minimum(values, c, top):
+    c = min(c, len(values) - 1)
+    direct = [min(values[j] + x * (c - j) for j in range(c + 1)) for x in range(top + 1)]
+    assert _envelope(values, c, top) == direct
+
+
 def test_psi_two_cover_witness_inequality():
     # the worked 7x9 instance carries covers (3 rows, 3 cols) and (2 rows, 4 cols)
     t = structure_matrix(R_69, S_69)
@@ -215,6 +236,8 @@ def test_psi_validates():
     # the range is checked before the class
     with pytest.raises(BadRange):
         psi(Partition((2,)), Partition((1,)), 1, 0, 0, 1)
+    with pytest.raises(EmptyClass):
+        psi(Partition((2,)), Partition((2,)), 0, 1, 0, 1)
 
 
 def test_psi_nonnegative_on_nonempty_classes(small_classes):
@@ -368,3 +391,66 @@ def test_tables_match_brute_phi_large(r, s):
 
 def test_phi_reference_matches_brute():
     assert brute_phi(R_REF, S_REF) == phi_matrix(R_REF, S_REF).values
+
+
+PROFILE_SHAPES = ((12, 12), (15, 14), (19, 19), (23, 20), (27, 25))
+
+
+def _profile_class(rng, m, n):
+    """Margins of a random m-by-n grid of density 0.15-0.5 with no empty
+    row or column, so the class keeps its shape."""
+    density = rng.uniform(0.15, 0.5)
+    grid = [[int(rng.random() < density) for _ in range(n)] for _ in range(m)]
+    for row in grid:
+        row[rng.randrange(n)] = 1
+    for j in range(n):
+        grid[rng.randrange(m)][j] = 1
+    return margins(BinaryMatrix(grid))
+
+
+def _random_quad(rng, m, n):
+    a = rng.randrange(m)
+    c = rng.randrange(n)
+    return a, rng.randint(a + 1, m), c, rng.randint(c + 1, n)
+
+
+def test_class_answers_are_pinned():
+    """Over 60 seeded classes of 12x12 to 27x25, the cover frontier, psi
+    on random and near-frontier quads, the two-cover matrices where they
+    exist, modified_ryser at the minimum 1-term rank cover,
+    ryser_canonical and the interchange path between them hash to a
+    fixed digest: the structure and construction code may change only if
+    each answer stays the same."""
+    rng = random.Random(20261019)
+    digest = hashlib.sha256()
+    for q in range(60):
+        m, n = PROFILE_SHAPES[q % len(PROFILE_SHAPES)]
+        r, s = _profile_class(rng, m, n)
+        front = cover_frontier(r, s)
+        quads = [_random_quad(rng, m, n) for _ in range(3)]
+        for _ in range(3):  # covers (b, c) and (a, d) near the frontier
+            a, b = sorted(rng.sample(range(m + 1), 2))
+            c = min(n - 1, front[b] + rng.randint(0, 1))
+            quads.append((a, b, c, max(c + 1, min(n, front[a] + rng.randint(0, 1)))))
+        two = []
+        for a, b, c, d in quads:
+            exists = two_cover_exists(r, s, a, b, c, d)
+            built = two_cover_matrix(r, s, (a, d), (b, c)).rows if exists else None
+            two.append((psi(r, s, a, b, c, d), exists, built))
+        _, (e, f) = min_t_term_rank(r, s, 1)
+        modified = modified_ryser(r, s, e, f)
+        canonical = ryser_canonical(r, s)
+        path = interchange_path(modified, canonical)
+        answer = (r.parts, s.parts, front, two, modified.rows, canonical.rows, path)
+        digest.update(repr(answer).encode())
+    assert digest.hexdigest() == "71222c76a5a91615939a0d2b30262f85200be1ea8e00df9f03f1e08c7fc53532"
+
+
+@pytest.mark.parametrize("shape", [(19, 19), (27, 25)])
+def test_psi_matches_brute_on_profile_shapes(shape):
+    rng = random.Random(1904 + shape[0])
+    for _ in range(2):
+        r, s = _profile_class(rng, *shape)
+        for _ in range(4):
+            quad = _random_quad(rng, len(r), len(s))
+            assert psi(r, s, *quad) == psi_brute(r, s, *quad)
