@@ -148,10 +148,11 @@ class _ClassTables:
     """Everything the structure layer derives from one pair (r, s).
 
     t, the prefix sums pref_s[l] = S_1 + ... + S_l, the suffix sums
-    suf_r[k] = R_{k+1} + ... + R_m, S*, the suffix minima A (stored by
-    column, a_cols[l][i] = A[i][l]) and B (b_rows[k][j] = B[k][j]) and
-    the Gale-Ryser verdict are built at once in O(mn), mostly by slicing;
-    the frontier and the full phi table are built on first use.
+    suf_r[k] = R_{k+1} + ... + R_m, s_star[k] = S*_k, the suffix minima
+    A (stored by column, a_cols[l][i] = A[i][l]) and B (b_rows[k][j] =
+    B[k][j]) and the Gale-Ryser verdict are built at once in O(mn),
+    mostly by slicing; the frontier and the full phi table are built on
+    first use.
     """
 
     def __init__(self, r: Partition, s: Partition):
@@ -169,8 +170,10 @@ class _ClassTables:
         self.nonempty = is_nonempty(r, s)
         self.s_star = _conjugate_counts(s, m)
         r_star = _conjugate_counts(r, n)
+        # A[i][l] = t[i][max(l, S*_i)]
         self.a_cols = tuple(zip(*((row[p],) * p + row[p:] for row, p in zip(t, self.s_star))))
-        # R*_j > k exactly for j < R_{k+1}, where B[k][j] is column j's minimum
+        # B[k][j] = t[max(k, R*_j)][j], and R*_j > k exactly for j < R_{k+1}:
+        # there B[k][j] is the column minimum t[R*_j][j]
         col_min = [t[k][l] for l, k in enumerate(r_star)]
         self.b_rows = [col_min[:v] + list(row[v:]) for row, v in zip(t, (*r.parts, 0))]
 
