@@ -109,11 +109,6 @@ class BinaryMatrix:
     def to_json_obj(self) -> dict:
         return {"m": self.m, "n": self.n, "rows": [list(row) for row in self.rows]}
 
-    def transpose(self) -> "BinaryMatrix":
-        if self.m == 0 or self.n == 0:
-            return BinaryMatrix([[] for _ in range(self.n)])
-        return BinaryMatrix(zip(*self.rows))
-
     def ones(self) -> Iterator[tuple[int, int]]:
         """Positions (i, j) of the 1-entries, row-major."""
         for i, row in enumerate(self.rows):

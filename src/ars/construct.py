@@ -49,14 +49,13 @@ def _pick_rows(sums: Sequence[int], amount: int) -> list[int]:
 
 def _shift_block(
     row_sums: Sequence[int], col_sums: Sequence[int], e: int, f: int
-) -> tuple[list[list[int]], list[int]]:
+) -> list[list[int]]:
     """Run the column-shifting loop on the first e rows.
 
     Starting from rows of left-justified 1s with the given sums, columns
     n-1 down to f (0-based) each receive col_sums[k] ones, moved from the
     rows of largest remaining sum (bottommost preferred on ties).
-    Returns the shifted e-by-(n-f) block and the leftover row sums of the
-    live region.
+    Returns the shifted e-by-(n-f) block.
     """
     n = len(col_sums)
     rr = [row_sums[i] for i in range(e)]
@@ -71,7 +70,7 @@ def _shift_block(
             raise InfeasibleShift(
                 f"a row holds more ones than the {k} live columns can carry"
             )
-    return block, rr
+    return block
 
 
 def canonical_column_submatrix(
@@ -86,13 +85,10 @@ def canonical_column_submatrix(
     requested cover shape is unreachable by this construction.
     """
     m, n = len(r), len(s)
-    if not (0 <= e <= m):
-        raise BadRange(f"need 0 <= e <= {m}, got {e}")
-    if not (0 <= f <= n):
-        raise BadRange(f"need 0 <= f <= {n}, got {f}")
-    block, rr = _shift_block(r.parts, s.parts, e, f)
-    rhat = tuple(r[i] - rr[i] for i in range(e))
-    return BinaryMatrix(block), rhat
+    if not (0 <= e <= m and 0 <= f <= n):
+        raise BadRange(f"need 0 <= e <= {m} and 0 <= f <= {n}, got e={e}, f={f}")
+    block = BinaryMatrix(_shift_block(r.parts, s.parts, e, f))
+    return block, block.row_sums
 
 
 def ryser_canonical(r: Partition, s: Partition) -> BinaryMatrix:
@@ -101,8 +97,7 @@ def ryser_canonical(r: Partition, s: Partition) -> BinaryMatrix:
     always drawing from the rows of largest remaining sum."""
     if not is_nonempty(r, s):
         raise EmptyClass(f"no matrix has row sums {r.parts} and column sums {s.parts}")
-    block, _ = _shift_block(r.parts, s.parts, len(r), 0)
-    return BinaryMatrix(block)
+    return BinaryMatrix(_shift_block(r.parts, s.parts, len(r), 0))
 
 
 def _residual_core(
@@ -120,19 +115,12 @@ def _residual_core(
     order_c = _descending_order(sbar)
     sorted_r = tuple(rbar[i] for i in order_r)
     sorted_c = tuple(sbar[j] for j in order_c)
-    grid, _ = _shift_block(sorted_r, sorted_c, len(rbar), 0)
+    grid = _shift_block(sorted_r, sorted_c, len(rbar), 0)
     core = [[0] * len(sbar) for _ in rbar]
     for i, row in zip(order_r, grid):
         for j, v in zip(order_c, row):
             core[i][j] = v
     return core, BinaryMatrix(grid)
-
-
-def _paste(grid: list[list[int]], top: int, left: int, rows: Sequence[Sequence[int]]):
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if v:
-                grid[top + i][left + j] = 1
 
 
 def modified_ryser(r: Partition, s: Partition, e: int, f: int) -> BinaryMatrix:
@@ -193,7 +181,9 @@ def _assemble(
     r: Partition, s: Partition, cover_wide: tuple[int, int], cover_tall: tuple[int, int]
 ) -> TwoCoverParts:
     """The zero-block assembly for covers (e1, f1) and (e2, f2) with
-    e1 <= e2 and f1 >= f2; equal covers give the single-cover case."""
+    e1 <= e2 and f1 >= f2; equal covers give the single-cover case.  Row
+    i < e2 is core row i + row block row i (or zeros), row e2 + k is column
+    k of the column block + zeros."""
     m, n = len(r), len(s)
     (e1, f1), (e2, f2) = cover_wide, cover_tall
     row_block, rhat = canonical_column_submatrix(r, s, e1, f1)
@@ -201,10 +191,9 @@ def _assemble(
     rbar = [r[i] - (rhat[i] if i < e1 else 0) for i in range(e2)]
     sbar = [s[j] - (shat[j] if j < f2 else 0) for j in range(f1)]
     core, canonical_core = _residual_core(rbar, sbar)
-    grid = [[0] * n for _ in range(m)]
-    _paste(grid, 0, 0, core)
-    _paste(grid, 0, f1, row_block.rows)
-    _paste(grid, e2, 0, col_block.transpose().rows)
+    zeros = (0,) * (n - f1)
+    grid = [core[i] + list(row_block[i] if i < e1 else zeros) for i in range(e2)]
+    grid += [[row[k] for row in col_block.rows] + [0] * (n - f2) for k in range(m - e2)]
     return TwoCoverParts(
         cover_wide=cover_wide,
         cover_tall=cover_tall,

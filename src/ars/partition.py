@@ -1,5 +1,6 @@
-"""Partitions (nonincreasing positive integer vectors), conjugation,
-majorization, and the Gale-Ryser nonemptiness test."""
+"""Partitions (nonincreasing positive integer vectors), conjugation by one
+walk (`conjugate_counts`), majorization, and the Gale-Ryser nonemptiness
+test."""
 
 from __future__ import annotations
 
@@ -19,7 +20,13 @@ class Partition:
     __slots__ = ("parts", "weight", "_hash")
 
     def __init__(self, parts: Iterable[int]):
-        ps = tuple(int(p) for p in parts)
+        given = tuple(parts)
+        try:
+            ps = tuple(map(int, given))
+        except (TypeError, ValueError):
+            ps = None
+        if ps != given:  # as for BinaryMatrix entries: 2.0 passes, 2.7 and "3" do not
+            raise ValueError(f"parts must be integers, got {given!r}")
         for a, b in zip(ps, ps[1:]):
             if a < b:
                 raise ValueError(f"parts must be nonincreasing, got {ps}")
@@ -66,19 +73,24 @@ class Partition:
         return f"Partition({self.parts})"
 
 
+def conjugate_counts(p: Partition, top: int) -> list[int]:
+    """counts[z] = #{parts of p above z} for z = 0..top: the conjugate of
+    p, cut or zero-padded to top+1 entries (none for top = -1), in one
+    walk of O(len(p) + top) whatever the weight."""
+    parts, j = p.parts, len(p.parts)
+    counts = []
+    for z in range(top + 1):
+        while j and parts[j - 1] <= z:
+            j -= 1
+        counts.append(j)
+    return counts
+
+
 def conjugate(p: Partition) -> Partition:
     """Conjugate partition: entry j counts the parts of p that are >= j+1.
-
     The result has length p.parts[0] and the same weight; conjugation is
-    an involution.
-    """
-    if not p.parts:
-        return Partition(())
-    counts = [0] * p.parts[0]
-    for v in p.parts:
-        for j in range(v):
-            counts[j] += 1
-    return Partition(counts)
+    an involution.  O(len(p) + p.parts[0]), by `conjugate_counts`."""
+    return Partition(conjugate_counts(p, p.part(0) - 1))
 
 
 def majorized_by(s: Partition | Sequence[int], r: Partition | Sequence[int]) -> bool:
@@ -100,10 +112,10 @@ def majorized_by(s: Partition | Sequence[int], r: Partition | Sequence[int]) -> 
 def is_nonempty(r: Partition, s: Partition) -> bool:
     """Gale-Ryser test: the class of (0,1)-matrices with row sums r and
     column sums s is nonempty iff the weights agree and s is majorized by
-    the conjugate of r."""
-    if r.weight != s.weight or r.part(0) > len(s):
-        return False  # a row cannot hold more ones than there are columns
-    return majorized_by(s, conjugate(r))
+    the conjugate of r.  That conjugate is read cut at n = len(s), in
+    O(m + n): cut there it weighs sum_i min(R_i, n), so it loses weight
+    exactly when some row is longer than n, and the totals then fail."""
+    return r.weight == s.weight and majorized_by(s, conjugate_counts(r, len(s) - 1))
 
 
 def margins_realizable(rows: Iterable[int], cols: Iterable[int]) -> bool:

@@ -38,7 +38,7 @@ from operator import add
 from typing import NamedTuple
 
 from .errors import BadRange, DimensionTooSmall, EmptyClass, WeightMismatch
-from .partition import Partition, is_nonempty
+from .partition import Partition, conjugate_counts, is_nonempty
 
 
 class StructureTable:
@@ -99,18 +99,6 @@ class StructureTable:
         return {"kind": self.kind, "values": [list(row) for row in self.values]}
 
 
-def _conjugate_counts(p: Partition, top: int) -> list[int]:
-    """counts[z] = #{parts of p above z} for z = 0..top: the conjugate of
-    p, cut or zero-padded to top+1 entries."""
-    parts, j = p.parts, len(p.parts)
-    counts = []
-    for z in range(top + 1):
-        while j and parts[j - 1] <= z:
-            j -= 1
-        counts.append(j)
-    return counts
-
-
 def _envelope(values, c: int, top: int) -> list[int]:
     """E[x] = min over j <= c of values[j] + x*(c-j), for x = 0..top.
 
@@ -152,7 +140,7 @@ class _ClassTables:
     A (stored by column, a_cols[l][i] = A[i][l]) and B (b_rows[k][j] =
     B[k][j]) and the Gale-Ryser verdict are built at once in O(mn),
     mostly by slicing; the frontier and the full phi table are built on
-    first use.
+    first use.  S* and R* are read from `partition.conjugate_counts`.
     """
 
     def __init__(self, r: Partition, s: Partition):
@@ -168,8 +156,8 @@ class _ClassTables:
             t.append(row)
         self.t = tuple(t)
         self.nonempty = is_nonempty(r, s)
-        self.s_star = _conjugate_counts(s, m)
-        r_star = _conjugate_counts(r, n)
+        self.s_star = conjugate_counts(s, m)
+        r_star = conjugate_counts(r, n)
         # A[i][l] = t[i][max(l, S*_i)]
         self.a_cols = tuple(zip(*((row[p],) * p + row[p:] for row, p in zip(t, self.s_star))))
         # B[k][j] = t[max(k, R*_j)][j], and R*_j > k exactly for j < R_{k+1}:

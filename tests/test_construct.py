@@ -1,3 +1,5 @@
+import hashlib
+import random
 import re
 from unittest import mock
 
@@ -34,6 +36,9 @@ from ars.errors import (
     NotSameClass,
     VerificationFailed,
 )
+from ars.structure import cover_frontier
+
+from test_structure import PROFILE_SHAPES, _profile_class, _random_quad
 
 R_69 = Partition((4, 2, 2, 2, 1, 1, 1))
 S_69 = Partition((2, 2, 2, 2, 1, 1, 1, 1, 1))
@@ -225,6 +230,63 @@ def test_two_cover_sweep(small_classes):
                 assert in_class(a, r, s)
                 assert is_covered(a, CoverSpec.prefix(e1, f1))
                 assert is_covered(a, CoverSpec.prefix(e2, f2))
+
+
+def _block_record(block):
+    return block.m, block.n, block.rows
+
+
+def _shift_record(r, s, e, f):
+    try:
+        block, rhat = canonical_column_submatrix(r, s, e, f)
+    except InfeasibleShift:
+        return None
+    return _block_record(block), rhat
+
+
+def test_construction_pieces_are_pinned():
+    """On the seeded classes and quads of test_class_answers_are_pinned,
+    plus the degenerate covers with an empty row or column block (e1 = 0,
+    f2 = 0, e2 = m, f1 = n), every field of two_cover_parts and both
+    canonical column blocks of each cover hash to a fixed digest: the
+    blocks, the residual margins and the sorted-frame core may not change
+    when the assembly does."""
+    rng = random.Random(20261019)
+    digest = hashlib.sha256()
+    for q in range(60):
+        m, n = PROFILE_SHAPES[q % len(PROFILE_SHAPES)]
+        r, s = _profile_class(rng, m, n)
+        front = cover_frontier(r, s)
+        quads = [_random_quad(rng, m, n) for _ in range(3)]
+        for _ in range(3):  # the same draws as test_class_answers_are_pinned
+            a, b = sorted(rng.sample(range(m + 1), 2))
+            c = min(n - 1, front[b] + rng.randint(0, 1))
+            quads.append((a, b, c, max(c + 1, min(n, front[a] + rng.randint(0, 1)))))
+        quads += [(0, b, c, d) for a, b, c, d in quads[:2]]
+        quads += [(a, b, 0, d) for a, b, c, d in quads[:2]]
+        quads += [(a, m, c, d) for a, b, c, d in quads[:2]]
+        quads += [(a, b, c, n) for a, b, c, d in quads[:2]]
+        quads.append((0, m, 0, n))
+        answer = [r.parts, s.parts]
+        for a, b, c, d in quads:
+            for e, f in ((a, d), (b, c)):
+                answer.append((_shift_record(r, s, e, f), _shift_record(s, r, f, e)))
+            if not two_cover_exists(r, s, a, b, c, d):
+                answer.append(None)
+                continue
+            parts = two_cover_parts(r, s, (a, d), (b, c))
+            answer.append((
+                parts.cover_wide,
+                parts.cover_tall,
+                _block_record(parts.row_block),
+                _block_record(parts.col_block),
+                parts.residual_row_sums,
+                parts.residual_col_sums,
+                _block_record(parts.canonical_core),
+                _block_record(parts.matrix),
+            ))
+        digest.update(repr(answer).encode())
+    assert digest.hexdigest() == "a09be538cf1ff1b036adb08df4957f95a30a3ba729c2b96c79f85ff92a831952"
 
 
 def test_interchange_path_single_step():

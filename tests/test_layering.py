@@ -1,7 +1,9 @@
 """Layering guard: no module of the package or of the scripts reads a
 private (`_`-prefixed) name of another `ars` module, either through an
 attribute (`construct._normalize_covers`) or through a from-import
-(`from .structure import _class_tables`).  Dunder names are public."""
+(`from .structure import _class_tables`).  Dunder names are public.
+A second guard finds private module-level names of the package that
+their own module never reads: a helper that a change left behind."""
 
 from __future__ import annotations
 
@@ -69,4 +71,36 @@ def private_reads(path: Path) -> list[str]:
 def test_no_private_reads_across_modules():
     assert len(SOURCES) > 10
     found = [line for path in SOURCES for line in private_reads(path)]
+    assert found == []
+
+
+def orphaned_privates(path: Path) -> list[str]:
+    """Module-level private functions, classes and constants that nothing
+    else in their own module reads; a read inside a name's own
+    definition, such as a recursive call, does not count."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    where = str(path.relative_to(ROOT))
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        own = {id(inner) for inner in ast.walk(node)}
+        for name in filter(_private, defined):
+            if not any(
+                isinstance(use, ast.Name) and use.id == name and isinstance(use.ctx, ast.Load)
+                and id(use) not in own
+                for use in ast.walk(tree)
+            ):
+                found.append(f"{where}:{node.lineno}: {name}")
+    return found
+
+
+def test_no_orphaned_private_names():
+    sources = sorted((ROOT / "src" / "ars").glob("*.py"))
+    found = [line for path in sources for line in orphaned_privates(path)]
     assert found == []

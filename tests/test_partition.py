@@ -1,9 +1,10 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ars.partition
 from ars import Partition, conjugate, is_nonempty, iter_partitions, majorized_by, margins_realizable
+from ars.partition import conjugate_counts
 
 from helpers import matrices, partitions
 
@@ -30,6 +31,18 @@ def test_conjugate_is_involution(p):
     q = conjugate(p)
     assert q.weight == p.weight
     assert conjugate(q) == p
+
+
+@given(partitions(max_parts=7, max_part=7), st.integers(-1, 10))
+@example(Partition(()), -1)
+@example(Partition(()), 3)
+@example(Partition((3, 1)), -1)
+@example(Partition((3, 1)), 1)  # below the largest part
+@example(Partition((3, 1)), 2)  # at the largest part, minus one
+@example(Partition((3, 1)), 3)  # at the largest part
+@example(Partition((3, 1)), 5)  # above it
+def test_conjugate_counts_matches_its_definition(p, top):
+    assert conjugate_counts(p, top) == [sum(v > z for v in p.parts) for z in range(top + 1)]
 
 
 def test_majorization_equality_case():
@@ -87,6 +100,13 @@ def test_partition_validation():
         Partition((2, 0))
     with pytest.raises(ValueError):
         Partition((-1,))
+    # parts must equal their int(): nothing is truncated or parsed
+    for bad in ((2.7, 1.2), ("3", 1), (None,), ("x",), (float("nan"),)):
+        with pytest.raises(ValueError, match="parts must be integers"):
+            Partition(bad)
+    assert Partition((3, True)).parts == (3, 1)
+    assert Partition((2.0, 1)).parts == (2, 1)
+    assert all(type(v) is int for v in Partition((2.0, True)).parts)
 
 
 def test_from_loose_sorts_and_strips():
