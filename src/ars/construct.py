@@ -6,16 +6,18 @@ and (e2, f2): `two_cover_parts` calls it with two crossing covers and
 `modified_ryser` with both covers equal to (e, f).  Each checks first
 that some class member carries its covers (`structure.cover_exists`,
 `structure.two_cover_exists`) and raises InfeasibleShift when none
-does.  Every column shift, and the normal form behind interchange
-paths, picks its rows by one rule: largest live sum, bottommost on
-ties.  By Ryser's lemma that rule fills any realizable margins, so the
-shift itself raises InfeasibleShift on unrealizable ones and the
-residual core needs no Gale-Ryser test."""
+does.  One column shift, `_shift_columns`, picks the rows of every
+column by one rule: largest live sum, bottommost on ties.  By Ryser's
+lemma that rule fills any realizable margins, so the shift itself
+raises InfeasibleShift on unrealizable ones and the residual core needs
+no Gale-Ryser test.  Every matrix is assembled from the shift's column
+row-lists, with margins known by construction.  The normal form of an
+interchange path is the shift of the shared margins, made once."""
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from operator import gt
+from itertools import compress
 from typing import NamedTuple
 
 from .binmat import BinaryMatrix
@@ -34,43 +36,35 @@ from . import flow, structure
 def _descending_order(seq: Sequence[int]) -> list[int]:
     """Indices of seq by decreasing value; a stable sort, so equal values
     keep their original relative order."""
-    return sorted(range(len(seq)), key=lambda i: -seq[i])
+    return sorted(range(len(seq)), key=seq.__getitem__, reverse=True)
 
 
-def _pick_rows(sums: Sequence[int], amount: int) -> list[int]:
-    """The `amount` rows of largest current sum, bottommost on ties."""
-    m = len(sums)
-    # the key sums[i]*m + i orders rows by sum, then by index
-    keys = sorted([v * m + i for i, v in enumerate(sums) if v > 0], reverse=True)
-    if len(keys) < amount:
-        raise InfeasibleShift(f"need {amount} rows with ones left, only {len(keys)} available")
-    return [key % m for key in keys[:amount]]
-
-
-def _shift_block(
+def _shift_columns(
     row_sums: Sequence[int], col_sums: Sequence[int], e: int, f: int
-) -> list[list[int]]:
-    """Run the column-shifting loop on the first e rows.
+) -> tuple[list[list[int]], list[int]]:
+    """Shift columns n-1 down to f (0-based) into the first e rows.
 
-    Starting from rows of left-justified 1s with the given sums, columns
-    n-1 down to f (0-based) each receive col_sums[k] ones, moved from the
-    rows of largest remaining sum (bottommost preferred on ties).
-    Returns the shifted e-by-(n-f) block.
+    Starting from left-justified rows with the given sums, column k takes
+    col_sums[k] ones from the rows of largest live sum, bottommost on
+    ties: one key list v*e + i, sorted per column, orders the rows by
+    live sum v, then by index.  Returns the row-lists of columns f..n-1,
+    each in pick order, and the ones each row gave up.
     """
-    n = len(col_sums)
-    rr = [row_sums[i] for i in range(e)]
-    block = [[0] * (n - f) for _ in range(e)]
-    for k in range(n - 1, f - 1, -1):
+    keys = [v * e + i for i, v in enumerate(row_sums[:e])]
+    cols = []
+    for k in range(len(col_sums) - 1, f - 1, -1):
+        keys.sort(reverse=True)
         amount = col_sums[k]
-        if amount:
-            for i in _pick_rows(rr, amount):
-                block[i][k - f] = 1
-                rr[i] -= 1
-        if rr and max(rr) > k:
-            raise InfeasibleShift(
-                f"a row holds more ones than the {k} live columns can carry"
-            )
-    return block
+        top = keys[:amount]
+        if amount and (len(top) < amount or top[-1] < e):
+            live = sum(key >= e for key in keys)
+            raise InfeasibleShift(f"need {amount} rows with ones left, only {live} available")
+        keys[:amount] = [key - e for key in top]
+        cols.append([key % e for key in top])
+        if keys and max(keys[0], keys[min(amount, len(keys) - 1)]) // e > k:
+            raise InfeasibleShift(f"a row holds more ones than the {k} live columns can carry")
+    live = {key % e: key // e for key in keys}
+    return cols[::-1], [v - live[i] for i, v in enumerate(row_sums[:e])]
 
 
 def canonical_column_submatrix(
@@ -87,7 +81,7 @@ def canonical_column_submatrix(
     m, n = len(r), len(s)
     if not (0 <= e <= m and 0 <= f <= n):
         raise BadRange(f"need 0 <= e <= {m} and 0 <= f <= {n}, got e={e}, f={f}")
-    block = BinaryMatrix(_shift_block(r.parts, s.parts, e, f))
+    block = BinaryMatrix.from_column_sets(*_shift_columns(r.parts, s.parts, e, f), s.parts[f:])
     return block, block.row_sums
 
 
@@ -97,7 +91,8 @@ def ryser_canonical(r: Partition, s: Partition) -> BinaryMatrix:
     always drawing from the rows of largest remaining sum."""
     if not is_nonempty(r, s):
         raise EmptyClass(f"no matrix has row sums {r.parts} and column sums {s.parts}")
-    return BinaryMatrix(_shift_block(r.parts, s.parts, len(r), 0))
+    cols, _ = _shift_columns(r.parts, s.parts, len(r), 0)
+    return BinaryMatrix.from_column_sets(cols, r.parts, s.parts)
 
 
 def _residual_core(
@@ -107,20 +102,18 @@ def _residual_core(
 
     Sorts both residual sequences (stable), builds the canonical matrix
     of the sorted pair, and un-permutes it back into the original row and
-    column order.  Returns (unsorted grid, canonical matrix as built).
-    Unrealizable margins make the shift raise InfeasibleShift; an empty
-    sbar, which the shift cannot check, comes only with rbar all zero.
+    column order.  Returns (unsorted column row-lists, canonical matrix
+    as built).  Unrealizable margins make the shift raise InfeasibleShift;
+    an empty sbar, which the shift cannot check, comes with rbar all 0.
     """
     order_r = _descending_order(rbar)
     order_c = _descending_order(sbar)
-    sorted_r = tuple(rbar[i] for i in order_r)
-    sorted_c = tuple(sbar[j] for j in order_c)
-    grid = _shift_block(sorted_r, sorted_c, len(rbar), 0)
-    core = [[0] * len(sbar) for _ in rbar]
-    for i, row in zip(order_r, grid):
-        for j, v in zip(order_c, row):
-            core[i][j] = v
-    return core, BinaryMatrix(grid)
+    sorted_c = [sbar[j] for j in order_c]
+    cols, shifted = _shift_columns([rbar[i] for i in order_r], sorted_c, len(rbar), 0)
+    core = [[] for _ in sbar]
+    for j, col in zip(order_c, cols):
+        core[j] = [order_r[i] for i in col]
+    return core, BinaryMatrix.from_column_sets(cols, shifted, sorted_c)
 
 
 def modified_ryser(r: Partition, s: Partition, e: int, f: int) -> BinaryMatrix:
@@ -181,28 +174,27 @@ def _assemble(
     r: Partition, s: Partition, cover_wide: tuple[int, int], cover_tall: tuple[int, int]
 ) -> TwoCoverParts:
     """The zero-block assembly for covers (e1, f1) and (e2, f2) with
-    e1 <= e2 and f1 >= f2; equal covers give the single-cover case.  Row
-    i < e2 is core row i + row block row i (or zeros), row e2 + k is column
-    k of the column block + zeros."""
-    m, n = len(r), len(s)
+    e1 <= e2 and f1 >= f2; equal covers give the single-cover case.
+    Column j < f1 is core column j plus each row e2 + k whose column-block
+    column k holds j; column j >= f1 comes from the row block."""
     (e1, f1), (e2, f2) = cover_wide, cover_tall
-    row_block, rhat = canonical_column_submatrix(r, s, e1, f1)
-    col_block, shat = canonical_column_submatrix(s, r, f2, e2)
+    row_cols, rhat = _shift_columns(r.parts, s.parts, e1, f1)
+    col_cols, shat = _shift_columns(s.parts, r.parts, f2, e2)
     rbar = [r[i] - (rhat[i] if i < e1 else 0) for i in range(e2)]
     sbar = [s[j] - (shat[j] if j < f2 else 0) for j in range(f1)]
-    core, canonical_core = _residual_core(rbar, sbar)
-    zeros = (0,) * (n - f1)
-    grid = [core[i] + list(row_block[i] if i < e1 else zeros) for i in range(e2)]
-    grid += [[row[k] for row in col_block.rows] + [0] * (n - f2) for k in range(m - e2)]
+    cols, canonical_core = _residual_core(rbar, sbar)
+    for i, row in enumerate(col_cols, e2):
+        for j in row:
+            cols[j].append(i)
     return TwoCoverParts(
         cover_wide=cover_wide,
         cover_tall=cover_tall,
-        row_block=row_block,
-        col_block=col_block,
+        row_block=BinaryMatrix.from_column_sets(row_cols, rhat, s.parts[f1:]),
+        col_block=BinaryMatrix.from_column_sets(col_cols, shat, r.parts[e2:]),
         residual_row_sums=tuple(rbar),
         residual_col_sums=tuple(sbar),
         canonical_core=canonical_core,
-        matrix=BinaryMatrix(grid),
+        matrix=BinaryMatrix.from_column_sets(cols + row_cols, r.parts, s.parts),
     )
 
 
@@ -242,45 +234,53 @@ def two_cover_matrix(
 Interchange = tuple[int, int, int, int]
 
 
-def _reduce_to_normal(a: BinaryMatrix) -> tuple[list[Interchange], BinaryMatrix]:
-    """Interchange a into the normal form fixed by the canonical column
-    rule (rightmost column first, rows chosen by _pick_rows).  Matrices
-    with equal margins reach the same normal form."""
-    grid = [list(row) for row in a.rows]
-    sums = list(a.row_sums)
+def _reduce_to_normal(
+    a: BinaryMatrix, normal: list[list[int]], masks: list[int]
+) -> list[Interchange]:
+    """Interchange a into the normal form whose column k holds the rows
+    normal[k] (bit mask masks[k]), rightmost column first: each wanted
+    row without a 1 in column k, in pick order, takes the 1 of the
+    topmost unwanted row that has one.  A column in place costs O(1)."""
+    powers = [1 << i for i in range(max(a.m, a.n))]
+    rows = [sum(compress(powers, row)) for row in a.rows]
+    cols = [sum(compress(powers, col)) for col in zip(*a.rows)]
     path: list[Interchange] = []
     for k in range(a.n - 1, -1, -1):
-        want = _pick_rows(sums, a.col_sums[k])
-        have = [i for i, row in enumerate(grid) if row[k]]
-        want_set, have_set = set(want), set(have)
-        # each wanted row without a 1 in column k, in pick order, takes
-        # the 1 of the topmost unwanted row that has one
-        extra = [ip for ip in have if ip not in want_set]
-        for i, ip in zip((i for i in want if i not in have_set), extra):
+        have = cols[k]
+        extra = have & ~masks[k]
+        if not extra:
+            continue
+        for i in normal[k]:
+            if have >> i & 1:
+                continue
+            low = extra & -extra
+            extra ^= low
+            ip = low.bit_length() - 1
             # row i owns strictly more live ones left of column k than
-            # row ip, so a pivot column always exists
-            j = list(map(gt, grid[i][:k], grid[ip])).index(True)
-            grid[i][j] = 0
-            grid[i][k] = 1
-            grid[ip][j] = 1
-            grid[ip][k] = 0
+            # row ip, so a pivot column always exists; take the lowest
+            pivot = rows[i] & ~rows[ip] & (powers[k] - 1)
+            j = (pivot & -pivot).bit_length() - 1
+            rows[i] ^= powers[j] | powers[k]
+            rows[ip] ^= powers[j] | powers[k]
+            cols[j] ^= powers[i] | low
+            cols[k] ^= powers[i] | low
             path.append((i, ip, j, k))
-        for i in want:
-            sums[i] -= 1
-    return path, BinaryMatrix(grid)
+    if cols != masks:
+        raise VerificationFailed("the two matrices reduced to different normal forms")
+    return path
 
 
 def interchange_path(a: BinaryMatrix, b: BinaryMatrix) -> tuple[Interchange, ...]:
     """A sequence of interchanges (i1, i2, j1, j2) carrying a onto b,
-    found by reducing both to the shared normal form and splicing the
-    second leg in reverse."""
+    found by reducing both to the normal form of their shared margins,
+    the canonical column shift, and splicing the second leg in reverse."""
     if (a.m, a.n) != (b.m, b.n) or a.row_sums != b.row_sums or a.col_sums != b.col_sums:
         raise NotSameClass("matrices differ in shape or margins")
-    path_a, norm_a = _reduce_to_normal(a)
-    path_b, norm_b = _reduce_to_normal(b)
-    if norm_a != norm_b:
-        raise VerificationFailed("the two matrices reduced to different normal forms")
-    return tuple(path_a) + tuple(reversed(path_b))
+    normal, _ = _shift_columns(a.row_sums, a.col_sums, a.m, 0)
+    powers = [1 << i for i in range(a.m)]
+    masks = [sum(map(powers.__getitem__, col)) for col in normal]
+    path_b = _reduce_to_normal(b, normal, masks)
+    return tuple(_reduce_to_normal(a, normal, masks)) + tuple(reversed(path_b))
 
 
 def construct_uniform_minimizer(r: Partition, s: Partition, t: int) -> BinaryMatrix | None:

@@ -20,12 +20,14 @@ R*_l = #{i : R_i > l}, and the suffix minima are lookups:
 
 phi[k][l] = min over i1 <= k, j1 <= l of A[i1][l] + B[k][j1] + (k-i1)(l-j1),
 and phi <= t everywhere.  With x = k - i1 the minimum over j1 is a lower
-envelope of lines in x, which `_envelope` gives for every x at once, so
-one cell costs O(k + l) and the whole table O(mn(m+n)).  psi uses the
-same envelope.  Cover feasibility is upward closed in both e and f, so
-it is fully described by the frontier front[e], the least feasible f
-for e rows; front is nonincreasing and one staircase walk finds it in
-O(m+n) cell probes.  Every criterion except the full phi table reads
+envelope of lines in x, which the lower hull of the points (j1,
+B[k][j1]) gives for every x at once, so one cell costs O(k + l) and the
+whole table O(mn(m+n)).  Walking l down a row drops one point from the
+hull at a time, so each row builds its hull once.  psi uses the same
+envelope.  Cover feasibility is upward closed in both e and f, so it is
+fully described by the frontier front[e], the least feasible f for e
+rows; front is nonincreasing and one staircase walk finds it in O(m+n)
+cell probes.  Every criterion except the full phi table reads
 the frontier.  Per class, t, A, B, the Gale-Ryser verdict,
 the frontier and phi are built once and kept in a bounded cache.
 """
@@ -99,25 +101,50 @@ class StructureTable:
         return {"kind": self.kind, "values": [list(row) for row in self.values]}
 
 
-def _envelope(values, c: int, top: int) -> list[int]:
-    """E[x] = min over j <= c of values[j] + x*(c-j), for x = 0..top.
+_Hull = tuple[list[int], list[int], list[tuple[tuple[int, int], ...]]]
 
-    The minimizing j for x is a vertex of the lower convex hull of the
-    points (j, values[j]): the one whose left edge is at most x steep and
-    whose right edge is steeper.  Edge slopes rise along the hull, so the
-    vertices take turns in order as x rises, each over a run of x on
-    which E is an arithmetic progression.  The last point, (c,
-    values[c]), is always a vertex.  O(c + top) in all.
-    """
+
+def _lower_hull(values, c: int) -> _Hull:
+    """The lower convex hull of the points (j, values[j]), j = 0..c, as
+    vertex lists js and vs, plus an undo log: log[j] holds the vertices
+    that point j removed, so `_drop_last` takes the last point back off
+    in amortized O(1) and a walk down c builds the hull once.  The last
+    point is always a vertex."""
     js: list[int] = []
     vs: list[int] = []
+    log = []
     for j, v in enumerate(values[: c + 1]):
+        gone = ()
         # drop the last vertex while it lies on or above the chord to (j, v)
         while len(js) > 1 and (vs[-1] - vs[-2]) * (j - js[-2]) >= (v - vs[-2]) * (js[-1] - js[-2]):
-            js.pop()
-            vs.pop()
+            gone = ((js.pop(), vs.pop()), *gone)
+        log.append(gone)
         js.append(j)
         vs.append(v)
+    return js, vs, log
+
+
+def _drop_last(hull: _Hull) -> None:
+    js, vs, log = hull
+    js.pop()
+    vs.pop()
+    for j, v in log.pop():
+        js.append(j)
+        vs.append(v)
+
+
+def _envelope(hull: _Hull, top: int) -> list[int]:
+    """E[x] = min over j <= c of values[j] + x*(c-j), for x = 0..top,
+    from the lower hull of values[0..c].
+
+    The minimizing j for x is the hull vertex whose left edge is at most
+    x steep and whose right edge is steeper.  Edge slopes rise along the
+    hull, so the vertices take turns in order as x rises, each over a
+    run of x on which E is an arithmetic progression.  O(top + hull
+    size).
+    """
+    js, vs, _ = hull
+    c = js[-1]
     out: list[int] = []
     x = 0
     for h in range(len(js) - 1):
@@ -165,29 +192,40 @@ class _ClassTables:
         col_min = [t[k][l] for l, k in enumerate(r_star)]
         self.b_rows = [col_min[:v] + list(row[v:]) for row, v in zip(t, (*r.parts, 0))]
 
-    def phi_at(self, k: int, l: int) -> int:
-        """phi[k][l] = min over x of A[k-x][l] + E[x], where E[x] is the
-        minimum over j1 <= l of B[k][j1] + x(l-j1): O(k + l)."""
-        return min(map(add, self.a_cols[l][k::-1], _envelope(self.b_rows[k], l, k)))
+    def phi_cell(self, k: int, c: int, hull: _Hull) -> int:
+        """phi[k][c] = min over x of A[k-x][c] + E[x], where E[x] is the
+        minimum over j1 <= c of B[k][j1] + x(c-j1), from the lower hull
+        of B[k][0..c]: O(k + c).  Walking c down a row drops one point
+        of the hull per cell, so the row builds its hull once."""
+        return min(map(add, self.a_cols[c][k::-1], _envelope(hull, k)))
 
     @cached_property
     def frontier(self) -> tuple[int, ...]:
         # (0, n) is feasible, and so is (e, front[e-1]) by upward closure
-        # in e, so each row starts where the previous one stopped
+        # in e, so each row starts where the previous one stopped; with no
+        # row covered every column is needed, as no S_j is 0
         f = len(self.t[0]) - 1
-        front = []
-        for e, row in enumerate(self.t):
-            while f > 0 and self.phi_at(e, f - 1) == row[f - 1]:
-                f -= 1
+        front = [f]
+        for e, row in enumerate(self.t[1:], 1):
+            if f:
+                hull = _lower_hull(self.b_rows[e], f - 1)
+                while f and self.phi_cell(e, f - 1, hull) == row[f - 1]:
+                    f -= 1
+                    _drop_last(hull)
             front.append(f)
         return tuple(front)
 
     @cached_property
     def phi(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(self.phi_at(k, l) for l in range(len(row)))
-            for k, row in enumerate(self.t)
-        )
+        rows = []
+        for k, b_row in enumerate(self.b_rows):
+            hull = _lower_hull(b_row, len(b_row) - 1)
+            cells = []
+            for c in range(len(b_row) - 1, -1, -1):
+                cells.append(self.phi_cell(k, c, hull))
+                _drop_last(hull)
+            rows.append(tuple(reversed(cells)))
+        return tuple(rows)
 
 
 @lru_cache(maxsize=32)
@@ -308,7 +346,7 @@ def psi(r: Partition, s: Partition, a: int, b: int, c: int, d: int) -> int:
     pref_s, s_star = tables.pref_s, tables.s_star
     u = [av + (a - i1) * (d - c) for i1, av in enumerate(tables.a_cols[d][: a + 1])]
     w = [k * c + q for k, q in enumerate(tables.suf_r[a : b + 1], a)]
-    env = _envelope(tables.b_rows[b], c, b)
+    env = _envelope(_lower_hull(tables.b_rows[b], c), b)
     h = []
     for z in range(b + 1):
         l = min(max(s_star[z], c), d)  # the best c + j2

@@ -27,12 +27,13 @@ from ars import (
     two_cover_parts,
 )
 import ars.construct
-from ars.construct import _descending_order, _residual_core
+from ars.construct import _descending_order, _residual_core, _shift_columns
 from ars.errors import (
     BadCoverOrder,
     BadRange,
     EmptyClass,
     InfeasibleShift,
+    InvalidInterchange,
     NotSameClass,
     VerificationFailed,
 )
@@ -244,15 +245,11 @@ def _shift_record(r, s, e, f):
     return _block_record(block), rhat
 
 
-def test_construction_pieces_are_pinned():
-    """On the seeded classes and quads of test_class_answers_are_pinned,
-    plus the degenerate covers with an empty row or column block (e1 = 0,
-    f2 = 0, e2 = m, f1 = n), every field of two_cover_parts and both
-    canonical column blocks of each cover hash to a fixed digest: the
-    blocks, the residual margins and the sorted-frame core may not change
-    when the assembly does."""
+def _pinned_classes():
+    """The seeded classes and quads of test_class_answers_are_pinned, plus
+    the degenerate covers with an empty row or column block (e1 = 0,
+    f2 = 0, e2 = m, f1 = n): yields (r, s, quads)."""
     rng = random.Random(20261019)
-    digest = hashlib.sha256()
     for q in range(60):
         m, n = PROFILE_SHAPES[q % len(PROFILE_SHAPES)]
         r, s = _profile_class(rng, m, n)
@@ -267,6 +264,16 @@ def test_construction_pieces_are_pinned():
         quads += [(a, m, c, d) for a, b, c, d in quads[:2]]
         quads += [(a, b, c, n) for a, b, c, d in quads[:2]]
         quads.append((0, m, 0, n))
+        yield r, s, quads
+
+
+def test_construction_pieces_are_pinned():
+    """On _pinned_classes, every field of two_cover_parts and both
+    canonical column blocks of each cover hash to a fixed digest: the
+    blocks, the residual margins and the sorted-frame core may not change
+    when the assembly does."""
+    digest = hashlib.sha256()
+    for r, s, quads in _pinned_classes():
         answer = [r.parts, s.parts]
         for a, b, c, d in quads:
             for e, f in ((a, d), (b, c)):
@@ -287,6 +294,66 @@ def test_construction_pieces_are_pinned():
             ))
         digest.update(repr(answer).encode())
     assert digest.hexdigest() == "a09be538cf1ff1b036adb08df4957f95a30a3ba729c2b96c79f85ff92a831952"
+
+
+def _assert_own_margins(a):
+    # the constructions build without the constructor's entry check, so
+    # their stored margins must be the ones a checked build recomputes
+    checked = BinaryMatrix(a.rows)
+    assert checked == a
+    assert (checked.row_sums, checked.col_sums) == (a.row_sums, a.col_sums)
+
+
+def test_constructions_carry_their_own_margins():
+    for r, s, quads in _pinned_classes():
+        _assert_own_margins(ryser_canonical(r, s))
+        _, (e, f) = min_t_term_rank(r, s, 1)
+        _assert_own_margins(modified_ryser(r, s, e, f))
+        for a, b, c, d in quads:
+            for e, f in ((a, d), (b, c)):
+                for rows, cols, size, width in ((r, s, e, f), (s, r, f, e)):
+                    try:
+                        block, _ = canonical_column_submatrix(rows, cols, size, width)
+                    except InfeasibleShift:
+                        continue
+                    _assert_own_margins(block)
+            if two_cover_exists(r, s, a, b, c, d):
+                parts = two_cover_parts(r, s, (a, d), (b, c))
+                for piece in (parts.row_block, parts.col_block, parts.canonical_core, parts.matrix):
+                    _assert_own_margins(piece)
+
+
+def _shift_by_rule(row_sums, col_sums, e, f):
+    """The column shift stated directly: column k, from n-1 down to f,
+    takes its ones from the rows of largest live sum, bottommost on ties.
+    Returns (column row-lists in pick order, ones given up per row) or
+    the InfeasibleShift message."""
+    live = list(row_sums[:e])
+    cols = []
+    for k in range(len(col_sums) - 1, f - 1, -1):
+        ranked = sorted((i for i in range(e) if live[i] > 0), key=lambda i: (live[i], i), reverse=True)
+        if len(ranked) < col_sums[k]:
+            return f"need {col_sums[k]} rows with ones left, only {len(ranked)} available"
+        for i in ranked[: col_sums[k]]:
+            live[i] -= 1
+        cols.insert(0, ranked[: col_sums[k]])
+        if any(v > k for v in live):
+            return f"a row holds more ones than the {k} live columns can carry"
+    return cols, [v - left for v, left in zip(row_sums, live)]
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_shift_columns_follows_the_rule(data):
+    row_sums = data.draw(st.lists(st.integers(0, 6), max_size=7))
+    col_sums = data.draw(st.lists(st.integers(0, 7), max_size=7))
+    e = data.draw(st.integers(0, len(row_sums)))
+    f = data.draw(st.integers(0, len(col_sums)))
+    try:
+        got = _shift_columns(row_sums, col_sums, e, f)
+    except InfeasibleShift as exc:
+        got = str(exc)
+    assert got == _shift_by_rule(row_sums, col_sums, e, f)
 
 
 def test_interchange_path_single_step():
@@ -311,10 +378,11 @@ def test_interchange_path_rejects_different_margins():
 
 
 def test_interchange_path_different_normal_forms_is_an_internal_fault(monkeypatch):
-    # both matrices reduce to one normal form; a mismatch would be a bug
+    # each leg must end on the canonical shift of the shared margins; a
+    # normal form that interchanges cannot reach means a bug, so a shift
+    # that put both ones of the identity in column 0 must be caught
     a = BinaryMatrix([[1, 0], [0, 1]])
-    forms = iter([([], a), ([], BinaryMatrix([[0, 1], [1, 0]]))])
-    monkeypatch.setattr(ars.construct, "_reduce_to_normal", lambda m: next(forms))
+    monkeypatch.setattr(ars.construct, "_shift_columns", lambda *args: ([[0, 1], []], [1, 1]))
     with pytest.raises(VerificationFailed, match="different normal forms"):
         interchange_path(a, a)
 
@@ -334,6 +402,44 @@ def test_interchange_path_replay(small_classes):
         if checked >= 30:
             break
     assert checked > 0
+
+
+def _loose_margin_pairs():
+    """Seeded pairs (a, b) of 2x2 to 9x9 matrices with equal margins that
+    are unsorted or hold zeros; b is a random interchange walk from a."""
+    rng = random.Random(20261019)
+    pairs = []
+    while len(pairs) < 80:
+        m, n = rng.randint(2, 9), rng.randint(2, 9)
+        density = rng.uniform(0.2, 0.7)
+        a = BinaryMatrix([[int(rng.random() < density) for _ in range(n)] for _ in range(m)])
+        if 0 not in a.row_sums + a.col_sums and list(a.row_sums) == sorted(a.row_sums, reverse=True) \
+                and list(a.col_sums) == sorted(a.col_sums, reverse=True):
+            continue
+        b = a
+        for _ in range(rng.randint(0, 3 * m * n)):
+            i1, i2 = rng.sample(range(m), 2)
+            j1, j2 = rng.sample(range(n), 2)
+            try:
+                b = apply_interchange(b, i1, i2, j1, j2)
+            except InvalidInterchange:
+                pass
+        pairs.append((a, b))
+    return pairs
+
+
+def test_interchange_path_is_pinned_on_loose_margins():
+    """The interchange paths between _loose_margin_pairs hash to a fixed
+    digest, and each replays from a to b."""
+    digest = hashlib.sha256()
+    for a, b in _loose_margin_pairs():
+        path = interchange_path(a, b)
+        current = a
+        for step in path:
+            current = apply_interchange(current, *step)
+        assert current == b
+        digest.update(repr((a.rows, b.rows, path)).encode())
+    assert digest.hexdigest() == "7472289bc104a033eec0cd1ee64e4d815061a314fb5329a50d00e0c6993209fe"
 
 
 @given(st.data())

@@ -84,13 +84,17 @@ def test_nonempty_fails_on_majorization():
 
 
 def test_nonempty_rejects_a_row_longer_than_the_columns(monkeypatch):
-    def bounded_conjugate(p):
-        assert p.part(0) <= 10_000, "conjugate asked for too many parts"
-        return conjugate(p)
+    tops = []
 
-    monkeypatch.setattr(ars.partition, "conjugate", bounded_conjugate)
+    def bounded_conjugate_counts(p, top):
+        assert top <= 10_000, "conjugate asked for too many parts"
+        tops.append(top)
+        return conjugate_counts(p, top)
+
+    monkeypatch.setattr(ars.partition, "conjugate_counts", bounded_conjugate_counts)
     assert is_nonempty(Partition((10**12,)), Partition((10**12,))) is False
     assert is_nonempty(Partition((2, 1)), Partition((2, 1))) is True
+    assert tops == [0, 1]  # the conjugate is cut at n - 1, never at the weight
 
 
 def test_partition_validation():

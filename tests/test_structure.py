@@ -25,7 +25,7 @@ from ars import (
 )
 from ars.errors import BadRange, DimensionTooSmall, EmptyClass, WeightMismatch
 from ars.oracle import brute_phi
-from ars.structure import _envelope, cover_frontier
+from ars.structure import _drop_last, _envelope, _lower_hull, cover_frontier
 
 from helpers import matrices
 
@@ -216,8 +216,13 @@ def test_psi_matches_brute_on_seeded_classes():
 @settings(max_examples=300, deadline=None)
 def test_envelope_matches_direct_minimum(values, c, top):
     c = min(c, len(values) - 1)
-    direct = [min(values[j] + x * (c - j) for j in range(c + 1)) for x in range(top + 1)]
-    assert _envelope(values, c, top) == direct
+    hull = _lower_hull(values, c)
+    # one hull serves every c' <= c as its last points are dropped
+    for cut in range(c, -1, -1):
+        direct = [min(values[j] + x * (cut - j) for j in range(cut + 1)) for x in range(top + 1)]
+        assert _envelope(hull, top) == direct
+        assert _lower_hull(values, cut) == hull
+        _drop_last(hull)
 
 
 def test_psi_two_cover_witness_inequality():
