@@ -56,9 +56,12 @@ class BinaryMatrix:
         """The matrix whose column j has its 1s in the rows col_rows[j],
         for a caller that already knows its margins: nothing is checked,
         and row_sums and col_sums are stored as given, so they must be
-        the matrix's own.  The shape is len(row_sums) by len(col_sums).
-        Input from outside goes through the constructor, which checks
-        every entry."""
+        the matrix's own.  The shape is len(row_sums) by len(col_sums),
+        except that with no rows it is 0x0, as the constructor makes every
+        row-less grid.  Input from outside goes through the constructor,
+        which checks every entry."""
+        if not row_sums:
+            col_sums = ()
         m, n = len(row_sums), len(col_sums)
         grid = [[0] * n for _ in range(m)]
         for j, rows in enumerate(col_rows):

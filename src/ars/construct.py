@@ -97,14 +97,15 @@ def ryser_canonical(r: Partition, s: Partition) -> BinaryMatrix:
 
 def _residual_core(
     rbar: Sequence[int], sbar: Sequence[int]
-) -> tuple[list[list[int]], BinaryMatrix]:
+) -> tuple[list[list[int]], tuple[list[list[int]], list[int], list[int]]]:
     """Canonical fill for residual margins that may hold zeros.
 
-    Sorts both residual sequences (stable), builds the canonical matrix
-    of the sorted pair, and un-permutes it back into the original row and
-    column order.  Returns (unsorted column row-lists, canonical matrix
-    as built).  Unrealizable margins make the shift raise InfeasibleShift;
-    an empty sbar, which the shift cannot check, comes with rbar all 0.
+    Sorts both residual sequences (stable), shifts the sorted pair into
+    its canonical matrix, and un-permutes that back into the original row
+    and column order.  Returns (unsorted column row-lists, the canonical
+    matrix as built: its column row-lists, row sums and column sums).
+    Unrealizable margins make the shift raise InfeasibleShift; an empty
+    sbar, which the shift cannot check, comes with rbar all 0.
     """
     order_r = _descending_order(rbar)
     order_c = _descending_order(sbar)
@@ -113,7 +114,7 @@ def _residual_core(
     core = [[] for _ in sbar]
     for j, col in zip(order_c, cols):
         core[j] = [order_r[i] for i in col]
-    return core, BinaryMatrix.from_column_sets(cols, shifted, sorted_c)
+    return core, (cols, shifted, sorted_c)
 
 
 def modified_ryser(r: Partition, s: Partition, e: int, f: int) -> BinaryMatrix:
@@ -132,7 +133,8 @@ def modified_ryser(r: Partition, s: Partition, e: int, f: int) -> BinaryMatrix:
         raise InfeasibleShift(
             f"no class member is covered by its first {e} rows and first {f} columns"
         )
-    return _assemble(r, s, (e, f), (e, f)).matrix
+    cols = _assemble(r, s, (e, f), (e, f))[0]
+    return BinaryMatrix.from_column_sets(cols, r.parts, s.parts)
 
 
 class TwoCoverParts(NamedTuple):
@@ -172,11 +174,15 @@ def _normalize_covers(
 
 def _assemble(
     r: Partition, s: Partition, cover_wide: tuple[int, int], cover_tall: tuple[int, int]
-) -> TwoCoverParts:
+) -> tuple:
     """The zero-block assembly for covers (e1, f1) and (e2, f2) with
     e1 <= e2 and f1 >= f2; equal covers give the single-cover case.
     Column j < f1 is core column j plus each row e2 + k whose column-block
-    column k holds j; column j >= f1 comes from the row block."""
+    column k holds j; column j >= f1 comes from the row block.  Returns
+    the assembled matrix's column row-lists, then the pieces only
+    two_cover_parts turns into matrices: the row block and the column
+    block (column row-lists and row sums), the residual margins and the
+    canonical core as `_residual_core` gives it."""
     (e1, f1), (e2, f2) = cover_wide, cover_tall
     row_cols, rhat = _shift_columns(r.parts, s.parts, e1, f1)
     col_cols, shat = _shift_columns(s.parts, r.parts, f2, e2)
@@ -186,16 +192,7 @@ def _assemble(
     for i, row in enumerate(col_cols, e2):
         for j in row:
             cols[j].append(i)
-    return TwoCoverParts(
-        cover_wide=cover_wide,
-        cover_tall=cover_tall,
-        row_block=BinaryMatrix.from_column_sets(row_cols, rhat, s.parts[f1:]),
-        col_block=BinaryMatrix.from_column_sets(col_cols, shat, r.parts[e2:]),
-        residual_row_sums=tuple(rbar),
-        residual_col_sums=tuple(sbar),
-        canonical_core=canonical_core,
-        matrix=BinaryMatrix.from_column_sets(cols + row_cols, r.parts, s.parts),
-    )
+    return cols + row_cols, (row_cols, rhat), (col_cols, shat), rbar, sbar, canonical_core
 
 
 def two_cover_parts(
@@ -221,7 +218,17 @@ def two_cover_parts(
         raise InfeasibleShift(
             f"no class member carries covers ({e1},{f1}) and ({e2},{f2}) simultaneously"
         )
-    return _assemble(r, s, wide, tall)
+    cols, row_block, col_block, rbar, sbar, core = _assemble(r, s, wide, tall)
+    return TwoCoverParts(
+        cover_wide=wide,
+        cover_tall=tall,
+        row_block=BinaryMatrix.from_column_sets(*row_block, s.parts[f1:]),
+        col_block=BinaryMatrix.from_column_sets(*col_block, r.parts[e2:]),
+        residual_row_sums=tuple(rbar),
+        residual_col_sums=tuple(sbar),
+        canonical_core=BinaryMatrix.from_column_sets(*core),
+        matrix=BinaryMatrix.from_column_sets(cols, r.parts, s.parts),
+    )
 
 
 def two_cover_matrix(

@@ -29,7 +29,11 @@ fully described by the frontier front[e], the least feasible f for e
 rows; front is nonincreasing and one staircase walk finds it in O(m+n)
 cell probes.  Every criterion except the full phi table reads
 the frontier.  Per class, t, A, B, the Gale-Ryser verdict,
-the frontier and phi are built once and kept in a bounded cache.
+the frontier and phi are built once and kept in a cache bounded to 32
+classes.  Two one-entry slots serve runs of queries on one class: the
+most recent (r, s) objects, compared by identity, with their tables,
+and in those tables the last psi quad with its value, which
+two_cover_exists reads after psi of the same quad.
 """
 
 from __future__ import annotations
@@ -191,6 +195,9 @@ class _ClassTables:
         # there B[k][j] is the column minimum t[R*_j][j]
         col_min = [t[k][l] for l, k in enumerate(r_star)]
         self.b_rows = [col_min[:v] + list(row[v:]) for row, v in zip(t, (*r.parts, 0))]
+        # ((a, b, c, d), psi value) of the last psi query: callers ask psi
+        # and then two_cover_exists of one quad, never an older quad again
+        self.last_psi: tuple | None = None
 
     def phi_cell(self, k: int, c: int, hull: _Hull) -> int:
         """phi[k][c] = min over x of A[k-x][c] + E[x], where E[x] is the
@@ -233,13 +240,29 @@ def _class_tables(r: Partition, s: Partition) -> _ClassTables:
     return _ClassTables(r, s)
 
 
+# the most recent class, (r, s, tables): a run of queries on the same two
+# Partition objects skips the lru_cache key build and Partition hashing
+_recent: tuple = (None, None, None)
+
+
 def clear_table_cache() -> None:
     """Drop every cached per-class table, so the next call starts cold."""
+    global _recent
+    _recent = (None, None, None)
     _class_tables.cache_clear()
 
 
+def _tables(r: Partition, s: Partition) -> _ClassTables:
+    global _recent
+    last_r, last_s, tables = _recent  # one read: the three always belong together
+    if last_r is not r or last_s is not s:
+        tables = _class_tables(r, s)
+        _recent = (r, s, tables)
+    return tables
+
+
 def _nonempty_tables(r: Partition, s: Partition) -> _ClassTables:
-    tables = _class_tables(r, s)
+    tables = _tables(r, s)
     if not tables.nonempty:
         raise EmptyClass(f"no matrix has row sums {r.parts} and column sums {s.parts}")
     return tables
@@ -251,7 +274,7 @@ def structure_matrix(r: Partition, s: Partition) -> StructureTable:
     Entry (k, l) counts k*l minus the first l column sums plus the last
     m-k row sums; every entry is nonnegative iff the class is nonempty.
     """
-    return StructureTable(values=_class_tables(r, s).t, kind="T")
+    return StructureTable(values=_tables(r, s).t, kind="T")
 
 
 def nonempty_by_structure(table: StructureTable) -> bool:
@@ -334,8 +357,9 @@ def psi(r: Partition, s: Partition, a: int, b: int, c: int, d: int) -> int:
 
     That leaves psi = min over i1, i2 of u[i1] + w[i2] + h[i1+i2], with
     u[i1] = A[i1][d] + (a-i1)(d-c), w[i2] = (a+i2)c + R_{a+i2+1} + ...
-    + R_m and h[z] the rest: O(a(b-a) + b + c) work.  Requires a
-    nonempty class.
+    + R_m and h[z] the rest: O(a(b-a) + b + c) work.  The class keeps
+    the last quad's value, so asking the same quad again is a lookup.
+    Requires a nonempty class.
     """
     m, n = len(r), len(s)
     if not (0 <= a < b <= m):
@@ -343,6 +367,10 @@ def psi(r: Partition, s: Partition, a: int, b: int, c: int, d: int) -> int:
     if not (0 <= c < d <= n):
         raise BadRange(f"need 0 <= c < d <= n, got c={c}, d={d}, n={n}")
     tables = _nonempty_tables(r, s)
+    quad = (a, b, c, d)
+    last = tables.last_psi
+    if last is not None and last[0] == quad:
+        return last[1]
     pref_s, s_star = tables.pref_s, tables.s_star
     u = [av + (a - i1) * (d - c) for i1, av in enumerate(tables.a_cols[d][: a + 1])]
     w = [k * c + q for k, q in enumerate(tables.suf_r[a : b + 1], a)]
@@ -351,7 +379,9 @@ def psi(r: Partition, s: Partition, a: int, b: int, c: int, d: int) -> int:
     for z in range(b + 1):
         l = min(max(s_star[z], c), d)  # the best c + j2
         h.append(env[b - z] + z * (l - c) - pref_s[l])
-    return min(ui + min(map(add, w, h[i1:])) for i1, ui in enumerate(u))
+    value = min(ui + min(map(add, w, h[i1:])) for i1, ui in enumerate(u))
+    tables.last_psi = (quad, value)
+    return value
 
 
 def two_cover_exists(

@@ -96,6 +96,15 @@ def test_cached_margins():
     assert a.col_sums == (3, 1, 1, 1)
 
 
+def test_from_column_sets_without_rows_is_the_empty_grid():
+    # the constructor makes every row-less grid 0x0, whatever the columns
+    built = BinaryMatrix.from_column_sets([[], []], [], [0, 0])
+    assert built == BinaryMatrix(built.rows) == BinaryMatrix([])
+    assert (built.m, built.n, built.row_sums, built.col_sums) == (0, 0, (), ())
+    wide = BinaryMatrix.from_column_sets([[], [0]], [1, 0], [0, 1])
+    assert wide == BinaryMatrix([[0, 1], [0, 0]]) and wide.col_sums == (0, 1)
+
+
 def test_text_round_trip():
     for a in (FLOW_EXAMPLE, BinaryMatrix([[0]]), TWO_COVER_OUTPUT):
         assert BinaryMatrix.from_text(a.to_text()) == a

@@ -138,6 +138,15 @@ def test_modified_ryser_degenerate_cover_is_canonical():
     assert modified_ryser(R_69, S_69, len(R_69), len(S_69)) == ryser_canonical(R_69, S_69)
 
 
+def test_modified_ryser_row_cover_is_the_transposed_canonical(small_classes):
+    # the cover (0, n) has no rows, so the whole matrix is the column
+    # block: the canonical matrix of the transposed class
+    for r, s in [(R_69, S_69), *small_classes]:
+        a = modified_ryser(r, s, 0, len(s))
+        assert a.rows == tuple(zip(*ryser_canonical(s, r).rows))
+        _assert_own_margins(a)
+
+
 def test_modified_ryser_square_cover_on_worked_pair():
     assert cover_exists(R_69, S_69, 3, 3)
     a = modified_ryser(R_69, S_69, 3, 3)

@@ -23,9 +23,10 @@ from ars import (
     two_cover_matrix,
     uniform_minimizer_hypotheses,
 )
+from ars import structure
 from ars.errors import BadRange, DimensionTooSmall, EmptyClass, WeightMismatch
 from ars.oracle import brute_phi
-from ars.structure import _drop_last, _envelope, _lower_hull, cover_frontier
+from ars.structure import _drop_last, _envelope, _lower_hull, clear_table_cache, cover_frontier
 
 from helpers import matrices
 
@@ -459,3 +460,98 @@ def test_psi_matches_brute_on_profile_shapes(shape):
         for _ in range(4):
             quad = _random_quad(rng, len(r), len(s))
             assert psi(r, s, *quad) == psi_brute(r, s, *quad)
+
+
+def _class_queries(r, s, quads):
+    m, n = len(r), len(s)
+    return (
+        [[cover_exists(r, s, e, f) for f in range(n + 1)] for e in range(m + 1)],
+        [min_t_term_rank(r, s, t) for t in range(1, r[0] + 1)],
+        [(psi(r, s, *q), two_cover_exists(r, s, *q)) for q in quads],
+    )
+
+
+def _copy(p):
+    return Partition(p.parts)
+
+
+def test_clear_table_cache_starts_cold():
+    r, s = Partition(R_69.parts), Partition(S_69.parts)
+    assert cover_exists(r, s, 3, 3)
+    last_r, last_s, warm = structure._recent
+    assert last_r is r and last_s is s
+    clear_table_cache()
+    assert structure._class_tables.cache_info().currsize == 0
+    assert structure._recent == (None, None, None)
+    assert cover_exists(r, s, 3, 3)
+    assert structure._recent[2] is not warm
+    assert structure._class_tables.cache_info().currsize == 1
+
+
+def test_interleaved_classes_answer_as_when_cold():
+    """Classes A, B, A, through the same objects and through equal but
+    distinct copies, answer as each does alone after a cache clear; the
+    two classes share their quads, so a psi value kept for one quad on
+    one class must not answer for the other."""
+    rng = random.Random(16)
+    a, b = _profile_class(rng, 12, 12), _profile_class(rng, 15, 14)
+    quads = [_random_quad(rng, 12, 12) for _ in range(5)]
+    cold = []
+    for r, s in (a, b):
+        clear_table_cache()
+        cold.append(_class_queries(r, s, quads))
+    clear_table_cache()
+    for k, (r, s) in ((0, a), (1, b), (0, a)):
+        for pair in ((r, s), (_copy(r), _copy(s)), (r, _copy(s)), (_copy(r), s), (r, s)):
+            assert _class_queries(*pair, quads) == cold[k]
+    # one query at a time, alternating A, B, A' on every query
+    copy_a = (_copy(a[0]), _copy(a[1]))
+    for e in range(13):
+        for f in range(13):
+            for k, pair in ((0, a), (1, b), (0, copy_a)):
+                assert cover_exists(*pair, e, f) == cold[k][0][e][f]
+    for i, q in enumerate(quads):
+        for k, pair in ((0, a), (1, b), (0, copy_a), (0, a)):
+            assert psi(*pair, *q) == cold[k][2][i][0]
+            assert two_cover_exists(*pair, *q) == cold[k][2][i][1]
+        for t in range(1, 4):
+            for k, pair in ((0, a), (1, b), (0, copy_a)):
+                assert min_t_term_rank(*pair, t) == cold[k][1][t - 1]
+
+
+def test_psi_of_repeated_quads_agrees_with_brute():
+    r, s = R_69, S_69
+    t = structure_matrix(r, s)
+    q1, q2 = (1, 3, 2, 5), (2, 4, 3, 6)
+    clear_table_cache()
+    first = psi(r, s, *q1)
+    assert first == psi_brute(r, s, *q1)
+    a, b, c, d = q1
+    assert two_cover_exists(r, s, *q1) == (first >= t[b, c] + t[a, d])
+    assert psi(r, s, *q2) == psi_brute(r, s, *q2)
+    assert psi(r, s, *q1) == first
+    assert psi(_copy(r), _copy(s), *q2) == psi_brute(r, s, *q2)
+
+
+def test_errors_survive_the_recent_class_slot():
+    empty = (Partition((2, 2)), Partition((3, 1)))
+    assert not is_nonempty(*empty)
+    # the first empty query replaces the slot and the later ones hit it;
+    # the second pass finds both classes in the lru cache
+    for _ in range(2):
+        assert cover_exists(R_69, S_69, 3, 3)
+        assert psi(R_69, S_69, 1, 3, 2, 5) == psi_brute(R_69, S_69, 1, 3, 2, 5)
+        with pytest.raises(EmptyClass):
+            cover_exists(*empty, 1, 1)
+        with pytest.raises(EmptyClass):
+            psi(*empty, 0, 1, 0, 1)
+        with pytest.raises(EmptyClass):
+            min_t_term_rank(*empty, 1)
+        assert not nonempty_by_structure(structure_matrix(*empty))
+    assert cover_exists(R_69, S_69, 3, 3)
+    for _ in range(2):
+        with pytest.raises(WeightMismatch):
+            cover_exists(R_69, Partition((2,)), 0, 1)
+        with pytest.raises(WeightMismatch):
+            structure_matrix(R_69, Partition((2,)))
+    assert structure._recent[0] is R_69 and structure._recent[1] is S_69
