@@ -6,8 +6,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from typing import NamedTuple
 
-from .errors import InvalidInterchange
-from .partition import Partition
+from .errors import DimensionMismatch, InvalidInterchange
+from .partition import Partition, exact_integers
 
 # maps each entry equal to 0 or 1 (False, True, 1.0, ...) to that int
 _BIT = {0: 0, 1: 1}.__getitem__
@@ -35,15 +35,19 @@ class BinaryMatrix:
             grid = tuple(tuple(map(_BIT, row)) for row in rows)
         except KeyError as exc:
             raise ValueError(f"entries must be 0 or 1, got {exc.args[0]!r}") from None
-        m = len(grid)
-        n = len(grid[0]) if m else 0
+        n = len(grid[0]) if grid else 0
         if any(len(row) != n for row in grid):
             raise ValueError("ragged rows")
-        self.rows = grid
-        self.m = m
-        self.n = n
-        self.row_sums = tuple(map(sum, grid))
-        self.col_sums = tuple(map(sum, zip(*grid)))
+        self._store(grid, tuple(map(sum, grid)), tuple(map(sum, zip(*grid))))
+
+    def _store(self, rows: tuple, row_sums: tuple, col_sums: tuple) -> None:
+        """Set every slot as given.  Only the constructor checks rows and
+        margins first; the unchecked builders vouch for their own."""
+        self.rows = rows
+        self.m = len(rows)
+        self.n = len(col_sums)
+        self.row_sums = row_sums
+        self.col_sums = col_sums
         self._rank_state = None
 
     @classmethod
@@ -62,18 +66,13 @@ class BinaryMatrix:
         which checks every entry."""
         if not row_sums:
             col_sums = ()
-        m, n = len(row_sums), len(col_sums)
-        grid = [[0] * n for _ in range(m)]
+        n = len(col_sums)
+        grid = [[0] * n for _ in row_sums]
         for j, rows in enumerate(col_rows):
             for i in rows:
                 grid[i][j] = 1
         a = cls.__new__(cls)
-        a.rows = tuple(map(tuple, grid))
-        a.m = m
-        a.n = n
-        a.row_sums = tuple(row_sums)
-        a.col_sums = tuple(col_sums)
-        a._rank_state = None
+        a._store(tuple(map(tuple, grid)), tuple(row_sums), tuple(col_sums))
         return a
 
     @classmethod
@@ -146,7 +145,8 @@ class _CoverFields(NamedTuple):
 
 class CoverSpec(_CoverFields):
     """A cover by e rows and f columns.  Without explicit index sets the
-    prefix rows 0..e-1 and columns 0..f-1 are meant."""
+    prefix rows 0..e-1 and columns 0..f-1 are meant.  The sizes follow
+    `partition.exact_integers`: 2.0 passes as 2, 1.9 and "2" do not."""
 
     __slots__ = ()
 
@@ -157,6 +157,7 @@ class CoverSpec(_CoverFields):
         rows: tuple[int, ...] | None = None,
         cols: tuple[int, ...] | None = None,
     ) -> "CoverSpec":
+        e, f = exact_integers((e, f), "cover sizes")
         if e < 0 or f < 0:
             raise ValueError("cover sizes must be nonnegative")
         for name, idx, size in (("rows", rows, e), ("cols", cols, f)):
@@ -177,19 +178,19 @@ class CoverSpec(_CoverFields):
     def row_set(self, m: int) -> frozenset[int]:
         if self.rows is None:
             if self.e > m:
-                raise ValueError("cover has more rows than the matrix")
+                raise DimensionMismatch("cover has more rows than the matrix")
             return frozenset(range(self.e))
         if any(i >= m for i in self.rows):
-            raise ValueError("row index out of range")
+            raise DimensionMismatch("row index out of range")
         return frozenset(self.rows)
 
     def col_set(self, n: int) -> frozenset[int]:
         if self.cols is None:
             if self.f > n:
-                raise ValueError("cover has more columns than the matrix")
+                raise DimensionMismatch("cover has more columns than the matrix")
             return frozenset(range(self.f))
         if any(j >= n for j in self.cols):
-            raise ValueError("column index out of range")
+            raise DimensionMismatch("column index out of range")
         return frozenset(self.cols)
 
 
@@ -205,16 +206,22 @@ def in_class(a: BinaryMatrix, r: Partition | Sequence[int], s: Partition | Seque
 def apply_interchange(a: BinaryMatrix, i1: int, i2: int, j1: int, j2: int) -> BinaryMatrix:
     """Swap the 2x2 submatrix on rows {i1,i2}, columns {j1,j2} between the
     patterns [[1,0],[0,1]] and [[0,1],[1,0]].  Row and column sums are
-    preserved, so the result stays in the same class."""
+    preserved, so the result stays in the same class and keeps a's
+    margins; only rows i1 and i2 are copied."""
     if i1 == i2 or j1 == j2:
         raise InvalidInterchange("interchange needs two distinct rows and columns")
     sub = (a.rows[i1][j1], a.rows[i1][j2], a.rows[i2][j1], a.rows[i2][j2])
     if sub not in ((1, 0, 0, 1), (0, 1, 1, 0)):
         raise InvalidInterchange(f"submatrix {sub} is not an interchangeable pattern")
-    grid = [list(row) for row in a.rows]
-    for i, j in ((i1, j1), (i1, j2), (i2, j1), (i2, j2)):
-        grid[i][j] ^= 1
-    return BinaryMatrix(grid)
+    rows = list(a.rows)
+    for i in (i1, i2):  # each row trades its bit in j1 for its bit in j2
+        row = list(rows[i])
+        row[j1] ^= 1
+        row[j2] ^= 1
+        rows[i] = tuple(row)
+    b = BinaryMatrix.__new__(BinaryMatrix)
+    b._store(tuple(rows), a.row_sums, a.col_sums)
+    return b
 
 
 def is_covered(a: BinaryMatrix, cover: CoverSpec) -> bool:

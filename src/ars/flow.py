@@ -279,7 +279,8 @@ def multi_cover_feasible(
     """Search for a class member carrying every given cover at once.
 
     A cover is a CoverSpec, with explicit rows and columns or the prefix
-    ones, or an (e, f) pair meaning the prefix cover.  A row lying in
+    ones, or else an (e, f) pair meaning the prefix cover (ValueError
+    otherwise; DimensionMismatch outside the grid).  A row lying in
     every cover's row set is unrestricted; any other row may hold 1s only
     in the columns shared by the covers that miss it.  Feasibility then
     reduces to a margin problem inside that 0/1 mask, and a returned
@@ -289,11 +290,12 @@ def multi_cover_feasible(
     m, n = len(r), len(s)
     sets = []
     for cover in covers:
-        e, f = map(int, cover[:2])
-        if not (0 <= e <= m and 0 <= f <= n):
-            raise DimensionMismatch(f"cover ({e},{f}) out of range for {m}x{n}")
         if not isinstance(cover, CoverSpec):
-            cover = CoverSpec.prefix(e, f)
+            try:
+                e, f = cover
+            except (TypeError, ValueError):
+                raise ValueError(f"a cover is a CoverSpec or an (e, f) pair, got {cover!r}") from None
+            cover = CoverSpec(e, f)
         sets.append((cover.row_set(m), cover.col_set(n)))
     every_col = frozenset(range(n))
     c = []

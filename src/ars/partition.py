@@ -20,13 +20,7 @@ class Partition:
     __slots__ = ("parts", "weight", "_hash")
 
     def __init__(self, parts: Iterable[int]):
-        given = tuple(parts)
-        try:
-            ps = tuple(map(int, given))
-        except (TypeError, ValueError):
-            ps = None
-        if ps != given:  # as for BinaryMatrix entries: 2.0 passes, 2.7 and "3" do not
-            raise ValueError(f"parts must be integers, got {given!r}")
+        ps = exact_integers(tuple(parts), "parts")
         for a, b in zip(ps, ps[1:]):
             if a < b:
                 raise ValueError(f"parts must be nonincreasing, got {ps}")
@@ -71,6 +65,18 @@ class Partition:
 
     def __repr__(self) -> str:
         return f"Partition({self.parts})"
+
+
+def exact_integers(given: tuple, what: str) -> tuple[int, ...]:
+    """given as ints when each item equals its int (2.0 passes as 2);
+    2.7, "3", None, nan or inf raise ValueError, never truncated."""
+    try:
+        ints = tuple(map(int, given))
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints != given:
+        raise ValueError(f"{what} must be integers, got {given!r}")
+    return ints
 
 
 def conjugate_counts(p: Partition, top: int) -> list[int]:

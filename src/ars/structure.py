@@ -28,17 +28,17 @@ envelope.  Cover feasibility is upward closed in both e and f, so it is
 fully described by the frontier front[e], the least feasible f for e
 rows; front is nonincreasing and one staircase walk finds it in O(m+n)
 cell probes.  Every criterion except the full phi table reads
-the frontier.  Per class, t, A, B, the Gale-Ryser verdict,
-the frontier and phi are built once and kept in a cache bounded to 32
-classes.  Two one-entry slots serve runs of queries on one class: the
-most recent (r, s) objects, compared by identity, with their tables,
-and in those tables the last psi quad with its value, which
+the frontier.  Callers ask about one class at a time, so only the most
+recent class is kept: its (r, s), matched by identity or else by
+equality, with t, A, B, the Gale-Ryser verdict, the frontier and phi,
+each built once.  A query on another class frees those tables.  The
+kept tables also hold the last psi quad with its value, which
 two_cover_exists reads after psi of the same quad.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate
 from operator import add
 from typing import NamedTuple
@@ -235,28 +235,23 @@ class _ClassTables:
         return tuple(rows)
 
 
-@lru_cache(maxsize=32)
-def _class_tables(r: Partition, s: Partition) -> _ClassTables:
-    return _ClassTables(r, s)
-
-
-# the most recent class, (r, s, tables): a run of queries on the same two
-# Partition objects skips the lru_cache key build and Partition hashing
+# the one kept class, (r, s, tables): a run of queries on the same two
+# Partition objects is an identity check, and a new class replaces it
 _recent: tuple = (None, None, None)
 
 
 def clear_table_cache() -> None:
-    """Drop every cached per-class table, so the next call starts cold."""
+    """Drop the kept class's tables, so the next call starts cold."""
     global _recent
     _recent = (None, None, None)
-    _class_tables.cache_clear()
 
 
 def _tables(r: Partition, s: Partition) -> _ClassTables:
     global _recent
     last_r, last_s, tables = _recent  # one read: the three always belong together
     if last_r is not r or last_s is not s:
-        tables = _class_tables(r, s)
+        if last_r != r or last_s != s:
+            tables = _ClassTables(r, s)
         _recent = (r, s, tables)
     return tables
 

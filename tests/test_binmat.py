@@ -169,6 +169,34 @@ def test_interchange_preserves_margins(a):
                         return
 
 
+@given(matrices(max_m=5, max_n=5), st.data())
+@settings(max_examples=60)
+def test_interchange_matches_the_checked_constructor(a, data):
+    """The swap copies two rows and keeps a's margins; the result is the
+    matrix the constructor builds from the swapped grid, margins and all,
+    and starts without rank state."""
+    spots = [
+        (i1, i2, j1, j2)
+        for i1, i2 in combinations(range(a.m), 2)
+        for j1, j2 in combinations(range(a.n), 2)
+        if a.rows[i1][j1] == a.rows[i2][j2] != a.rows[i1][j2] == a.rows[i2][j1]
+    ]
+    if not spots:
+        return
+    i1, i2, j1, j2 = data.draw(st.sampled_from(spots))
+    t_term_ranks(a)  # gives a a rank state, which the result must not share
+    b = apply_interchange(a, i1, i2, j1, j2)
+    grid = [list(row) for row in a.rows]
+    for i, j in ((i1, j1), (i1, j2), (i2, j1), (i2, j2)):
+        grid[i][j] ^= 1
+    built = BinaryMatrix(grid)
+    assert b == built and b.rows == built.rows
+    assert (b.m, b.n, b.row_sums, b.col_sums) == (built.m, built.n, built.row_sums, built.col_sums)
+    assert all(type(row) is tuple for row in b.rows)
+    assert b._rank_state is None
+    assert a.rows[i1][j1] != b.rows[i1][j1]  # a itself is unchanged
+
+
 def test_is_covered_prefix_examples():
     assert is_covered(FLOW_EXAMPLE, CoverSpec.prefix(1, 1))
     assert not is_covered(BinaryMatrix([[1, 0], [0, 1]]), CoverSpec.prefix(0, 1))
@@ -209,6 +237,21 @@ def test_cover_spec_validation():
             CoverSpec(*args)
     with pytest.raises(ValueError):
         is_covered(BinaryMatrix([[1]]), CoverSpec(e=1, f=0, rows=(3,)))
+
+
+def test_cover_spec_sizes_are_integers():
+    """Partition's rule: an integral float passes and is stored as an
+    int; a fraction, a string, None, nan or inf is rejected at once
+    instead of truncated or failing later in row_set."""
+    for e, f in ((1.5, 2), (2, 1.9), ("2", 2), (2, "2"), (None, 1), (float("nan"), 1), (1, float("inf"))):
+        with pytest.raises(ValueError, match="cover sizes must be integers"):
+            CoverSpec(e, f)
+        with pytest.raises(ValueError, match="cover sizes must be integers"):
+            CoverSpec.prefix(e, f)
+    cover = CoverSpec(2.0, True)
+    assert cover == (2, 1, None, None)
+    assert type(cover.e) is int and type(cover.f) is int
+    assert cover.row_set(3) == frozenset({0, 1})
 
 
 def test_min_cover_values():

@@ -375,5 +375,21 @@ def test_multi_cover_explicit_sets_match_enumeration(small_classes):
 
 
 def test_multi_cover_range_check():
-    with pytest.raises(DimensionMismatch):
-        multi_cover_feasible(Partition((1,)), Partition((1,)), [(2, 0)])
+    for cover in ((2, 0), (0, 2), CoverSpec(1, 0, rows=(1,)), CoverSpec(0, 1, cols=(3,))):
+        with pytest.raises(DimensionMismatch):
+            multi_cover_feasible(Partition((1,)), Partition((1,)), [cover])
+
+
+def test_multi_cover_sizes_are_exact_pairs():
+    """A cover that is not a CoverSpec is an (e, f) pair of integers;
+    sizes are neither truncated nor parsed, and extra items are not
+    dropped."""
+    r = s = Partition((1, 1))
+    for cover in ((1.9, 2), (2, 1.9), ("2", "2"), (2, 2, "junk"), (2,), 3, None, "22x"):
+        with pytest.raises(ValueError):
+            multi_cover_feasible(r, s, [cover])
+        with pytest.raises(ValueError):
+            multi_cover_feasible(r, s, [(2, 2), cover])
+    # integral floats and lists are pairs like any other
+    assert multi_cover_feasible(r, s, [(2.0, 2)]) == multi_cover_feasible(r, s, [[2, 2]])
+    assert multi_cover_feasible(r, s, [(0.0, 1)]) is None

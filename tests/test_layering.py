@@ -1,7 +1,7 @@
 """Layering guard: no module of the package or of the scripts reads a
 private (`_`-prefixed) name of another `ars` module, either through an
 attribute (`construct._normalize_covers`) or through a from-import
-(`from .structure import _class_tables`).  Dunder names are public.
+(`from .structure import _nonempty_tables`).  Dunder names are public.
 A second guard finds private module-level names of the package that
 their own module never reads: a helper that a change left behind."""
 

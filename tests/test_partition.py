@@ -105,7 +105,7 @@ def test_partition_validation():
     with pytest.raises(ValueError):
         Partition((-1,))
     # parts must equal their int(): nothing is truncated or parsed
-    for bad in ((2.7, 1.2), ("3", 1), (None,), ("x",), (float("nan"),)):
+    for bad in ((2.7, 1.2), ("3", 1), (None,), ("x",), (float("nan"),), (float("inf"),)):
         with pytest.raises(ValueError, match="parts must be integers"):
             Partition(bad)
     assert Partition((3, True)).parts == (3, 1)

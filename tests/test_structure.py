@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -480,12 +481,28 @@ def test_clear_table_cache_starts_cold():
     assert cover_exists(r, s, 3, 3)
     last_r, last_s, warm = structure._recent
     assert last_r is r and last_s is s
+    # equal but distinct partitions reuse the kept tables and take the slot
+    r2, s2 = _copy(r), _copy(s)
+    assert cover_exists(r2, s2, 3, 3)
+    assert structure._recent[0] is r2 and structure._recent[1] is s2
+    assert structure._recent[2] is warm
     clear_table_cache()
-    assert structure._class_tables.cache_info().currsize == 0
     assert structure._recent == (None, None, None)
     assert cover_exists(r, s, 3, 3)
+    assert structure._recent[0] is r and structure._recent[1] is s
     assert structure._recent[2] is not warm
-    assert structure._class_tables.cache_info().currsize == 1
+
+
+def test_a_new_class_frees_the_kept_tables():
+    """Only the most recent class keeps its tables: after queries on
+    class A and then on class B, nothing holds A's tables any more."""
+    clear_table_cache()
+    assert cover_exists(R_69, S_69, 3, 3)
+    assert psi(R_69, S_69, 1, 3, 2, 5) == psi_brute(R_69, S_69, 1, 3, 2, 5)
+    kept = weakref.ref(structure._recent[2])
+    assert min_t_term_rank(R_REF, S_REF, 1) == min_t_term_rank(_copy(R_REF), S_REF, 1)
+    assert kept() is None
+    assert structure._recent[1] is S_REF
 
 
 def test_interleaved_classes_answer_as_when_cold():
@@ -537,21 +554,25 @@ def test_errors_survive_the_recent_class_slot():
     empty = (Partition((2, 2)), Partition((3, 1)))
     assert not is_nonempty(*empty)
     # the first empty query replaces the slot and the later ones hit it;
-    # the second pass finds both classes in the lru cache
+    # each pass starts on R_69 again, so both classes are built twice
     for _ in range(2):
         assert cover_exists(R_69, S_69, 3, 3)
         assert psi(R_69, S_69, 1, 3, 2, 5) == psi_brute(R_69, S_69, 1, 3, 2, 5)
         with pytest.raises(EmptyClass):
             cover_exists(*empty, 1, 1)
+        assert structure._recent[0] is empty[0] and structure._recent[1] is empty[1]
         with pytest.raises(EmptyClass):
             psi(*empty, 0, 1, 0, 1)
         with pytest.raises(EmptyClass):
             min_t_term_rank(*empty, 1)
         assert not nonempty_by_structure(structure_matrix(*empty))
     assert cover_exists(R_69, S_69, 3, 3)
+    kept = structure._recent
     for _ in range(2):
         with pytest.raises(WeightMismatch):
             cover_exists(R_69, Partition((2,)), 0, 1)
         with pytest.raises(WeightMismatch):
             structure_matrix(R_69, Partition((2,)))
+    # a pair whose tables cannot be built leaves the kept class in place
+    assert structure._recent is kept
     assert structure._recent[0] is R_69 and structure._recent[1] is S_69
