@@ -20,13 +20,18 @@ class BinaryMatrix:
     0/1 digits; blank lines and ``#`` comment lines are ignored when
     parsing.  JSON form: ``{"m":..,"n":..,"rows":[[..],..]}``.
 
-    One more slot, ``_rank_state``, belongs to `ars.flow`: it holds the
-    warm t-term-rank kernel of the matrix once the matrix is ranked
-    (None before).  Equality, hashing, repr, the JSON and text forms,
-    pickling and copying ignore it; a copy starts without it.
+    Two more slots are caches that no value behaviour sees.
+    ``_row_bits`` holds each row as a column bitmask (bit j set iff the
+    row has a 1 in column j), a tuple set only by a builder that already
+    knows the bits, such as class enumeration, and None otherwise; the
+    rank kernel starts from it instead of reading the rows.
+    ``_rank_state`` belongs to `ars.flow`: it holds the warm
+    t-term-rank kernel of the matrix once the matrix is ranked (None
+    before).  Equality, hashing, repr, the JSON and text forms, pickling
+    and copying ignore both; a copy starts without them.
     """
 
-    __slots__ = ("rows", "m", "n", "row_sums", "col_sums", "_rank_state")
+    __slots__ = ("rows", "m", "n", "row_sums", "col_sums", "_row_bits", "_rank_state")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
         try:
@@ -40,14 +45,18 @@ class BinaryMatrix:
             raise ValueError("ragged rows")
         self._store(grid, tuple(map(sum, grid)), tuple(map(sum, zip(*grid))))
 
-    def _store(self, rows: tuple, row_sums: tuple, col_sums: tuple) -> None:
+    def _store(
+        self, rows: tuple, row_sums: tuple, col_sums: tuple, row_bits: tuple | None = None
+    ) -> None:
         """Set every slot as given.  Only the constructor checks rows and
-        margins first; the unchecked builders vouch for their own."""
+        margins first; the unchecked builders vouch for their own, and
+        for the row bitmasks when they pass them."""
         self.rows = rows
         self.m = len(rows)
         self.n = len(col_sums)
         self.row_sums = row_sums
         self.col_sums = col_sums
+        self._row_bits = row_bits
         self._rank_state = None
 
     @classmethod
@@ -136,6 +145,21 @@ class BinaryMatrix:
         return f"BinaryMatrix({list(map(list, self.rows))})"
 
 
+def _cover_indices(idx: Iterable[int] | None, size: int, name: str) -> tuple[int, ...] | None:
+    """The explicit index set of a cover as a tuple of distinct
+    nonnegative ints, `size` of them, or None when there is none."""
+    if idx is None:
+        return None
+    idx = exact_integers(tuple(idx), f"cover {name}")
+    if len(set(idx)) != len(idx):
+        raise ValueError(f"duplicate {name} in cover")
+    if len(idx) != size:
+        raise ValueError(f"{name} set size disagrees with declared count")
+    if idx and min(idx) < 0:
+        raise ValueError(f"negative index in {name}")
+    return idx
+
+
 class _CoverFields(NamedTuple):
     e: int
     f: int
@@ -145,8 +169,10 @@ class _CoverFields(NamedTuple):
 
 class CoverSpec(_CoverFields):
     """A cover by e rows and f columns.  Without explicit index sets the
-    prefix rows 0..e-1 and columns 0..f-1 are meant.  The sizes follow
-    `partition.exact_integers`: 2.0 passes as 2, 1.9 and "2" do not."""
+    prefix rows 0..e-1 and columns 0..f-1 are meant.  The sizes and the
+    explicit indices follow `partition.exact_integers`: 2.0 passes and is
+    stored as 2, 1.9 and "2" raise ValueError.  Explicit indices are
+    stored as a tuple."""
 
     __slots__ = ()
 
@@ -160,15 +186,8 @@ class CoverSpec(_CoverFields):
         e, f = exact_integers((e, f), "cover sizes")
         if e < 0 or f < 0:
             raise ValueError("cover sizes must be nonnegative")
-        for name, idx, size in (("rows", rows, e), ("cols", cols, f)):
-            if idx is None:
-                continue
-            if len(set(idx)) != len(idx):
-                raise ValueError(f"duplicate {name} in cover")
-            if len(idx) != size:
-                raise ValueError(f"{name} set size disagrees with declared count")
-            if any(i < 0 for i in idx):
-                raise ValueError(f"negative index in {name}")
+        rows = _cover_indices(rows, e, "rows")
+        cols = _cover_indices(cols, f, "cols")
         return super().__new__(cls, e, f, rows, cols)
 
     @classmethod

@@ -7,7 +7,11 @@ that warm-starts from t to t+1.  The kernel state lives on the matrix,
 in the `_rank_state` slot `BinaryMatrix` keeps for this module, so each
 step runs once per matrix however its ranks are read; once the rank
 profile is final the kernel releases its arrays and keeps only the
-ranks.  `FlowNetwork` is the one transportation network over unit cells
+ranks, and `t_term_rank` reads any t from them without a step.  The
+kernel starts from the row bitmasks a matrix carries in its `_row_bits`
+slot when its builder knew them (every member `enumerate_class` yields
+does), so a sweep of a class never turns rows back into masks.
+`FlowNetwork` is the one transportation network over unit cells
 (Edmonds-Karp): it serves `feasible_bounded`, and through
 `build_t_rank_network` it is the independent oracle the rank kernel is
 tested against.
@@ -21,7 +25,7 @@ from itertools import compress, count
 
 from .binmat import BinaryMatrix, CoverSpec
 from .errors import DimensionMismatch
-from .partition import Partition
+from .partition import Partition, positive_integer
 
 
 class FlowNetwork:
@@ -102,8 +106,7 @@ def build_t_rank_network(a: BinaryMatrix, t: int) -> FlowNetwork:
     capacity 1.  `t_term_rank` does not use it; it is the reference the
     rank kernel is tested against.
     """
-    if t < 1:
-        raise ValueError("t must be a positive integer")
+    t = positive_integer(t, "t")
     return FlowNetwork([t] * a.m, [1] * a.n, a.ones())
 
 
@@ -129,13 +132,20 @@ class _RankKernel:
     repeats from then on, and adj, owner and load are released (set to
     None).  For the same reason a step stops searching for augmenting
     paths as soon as `free & reach` is empty.
+
+    The row masks come from the matrix's `_row_bits` slot when its
+    builder set it (class enumeration does), and are computed from the
+    rows otherwise; the kernel only reads adj, so it shares that tuple.
     """
 
     __slots__ = ("adj", "owner", "load", "free", "reach", "ranks", "top")
 
     def __init__(self, a: BinaryMatrix):
-        weights = [1 << j for j in range(a.n)]
-        self.adj = adj = [sum(compress(weights, row)) for row in a.rows]
+        adj = a._row_bits
+        if adj is None:
+            weights = [1 << j for j in range(a.n)]
+            adj = [sum(compress(weights, row)) for row in a.rows]
+        self.adj = adj
         self.owner = [-1] * a.n
         self.load = [0] * a.m
         self.free = (1 << a.n) - 1
@@ -238,10 +248,21 @@ def t_term_rank(a: BinaryMatrix, t: int) -> int:
     Read from the rank kernel kept on a, which `t_term_ranks` shares:
     each step up to t runs once per matrix, and the profile is final by
     the step at the largest row sum, so any t costs at most that many
-    steps (one for a zero matrix).
+    steps (one for a zero matrix).  A rank whose step has run, or any
+    rank once the profile is final, is read straight from the kernel's
+    list.  t follows `partition.exact_integers` (2.0 passes as 2; 1.5
+    raises ValueError); an int t costs one class test and one
+    comparison.
     """
-    if t < 1:
-        raise ValueError("t must be a positive integer")
+    if t.__class__ is not int or t < 1:
+        t = positive_integer(t, "t")
+    kernel = a._rank_state
+    if kernel is not None:
+        ranks = kernel.ranks
+        if t <= len(ranks):
+            return ranks[t - 1]
+        if kernel.adj is None:
+            return ranks[-1]
     return _kernel(a).rank(t)
 
 

@@ -14,49 +14,105 @@ from typing import NamedTuple
 
 from .binmat import BinaryMatrix, CoverSpec
 from .errors import EmptyClass
-from .partition import Partition, is_nonempty, margins_realizable
+from .partition import Partition, exact_integers, is_nonempty, margins_realizable, positive_integer
 
 
 def enumerate_class(r: Partition, s: Partition) -> Iterator[BinaryMatrix]:
     """Yield every matrix with row sums r and column sums s.
 
-    Backtracks column by column, choosing the rows of each column among
-    those with remaining capacity, pruning branches whose residual
+    Backtracks over the columns 0..n-3, choosing the rows of each column
+    among those with remaining capacity, pruning branches whose residual
     margins fail the Gale-Ryser test.  A column whose rows have the
     largest residual sums (their total is the most any s_j rows hold, so
     the least chosen sum is at least every unchosen one) skips that test:
     by Ryser's lemma such a step keeps a realizable residual realizable.
     The open columns' combinations iterators sit on an explicit stack, so
-    no recursion limit bounds n.  Each member is built from its column
-    row-sets by `BinaryMatrix.from_column_sets`, without the constructor's
-    per-entry checks, since the search makes every entry 0/1 and the
-    margins exactly (r, s).  Matrices come out in lexicographic order of
-    their column row-sets.  A caller that wants only a prefix takes it
-    with itertools.islice.
+    no recursion limit bounds n.
+
+    The last two columns take a closed form.  Every step keeps the
+    residual realizable, so after n-2 columns each row is short by at
+    most 2, a row short by 2 takes both last columns, and the rows short
+    by 1 split between them in every way that fills column n-2: a pick
+    of s_{n-2} - #(rows short by 2) of them for column n-2, the rest for
+    column n-1.  That level needs no Gale-Ryser test.  Its picks, taken
+    in combinations order, give the row sets of column n-2 in
+    combinations order too: of two k-subsets as sorted tuples the
+    lexicographically smaller is the one holding the least element of
+    their symmetric difference, and adding the rows short by 2 to both
+    leaves that difference as it was.  So matrices come out in
+    lexicographic order of their column row-sets.  One column (n = 1)
+    takes every row.
+
+    The walk keeps each row's entries and its column bitmask up to date
+    as it chooses and undoes columns, so the members need no per-member
+    grid: at a node of depth n-2 each row's possible tuples and masks
+    are built once, and each member picks among them.  Two rows of one
+    member are never the same object, as in the constructor's matrices.
+    Members carry their masks in the ``_row_bits`` slot, from which the
+    rank kernel starts; nothing is checked, since the search makes every
+    entry 0/1 and the margins exactly (r, s).  Memory is O(mn) whatever
+    the class size.  A caller that wants only a prefix takes it with
+    itertools.islice.
     """
     m, n = len(r), len(s)
     if not is_nonempty(r, s):
         return
-    rr = list(r.parts)
+    rp, sp = r.parts, s.parts
+    if n < 2:
+        # one column takes every row (n = 0 only in the 0x0 class)
+        a = BinaryMatrix.__new__(BinaryMatrix)
+        a._store(tuple(tuple([1]) for _ in range(m)), rp, sp, (1,) * m)
+        yield a
+        return
+    rr = list(rp)
+    bits = [0] * m
+    grid = [[0] * n for _ in range(m)]
+    last = n - 2  # the first column of the closed form
+    bit_a, bit_b = 1 << last, 1 << (n - 1)
     chosen: list[tuple[int, ...]] = []
     # stack[j] holds the row sets of column j and the largest residual
     # total of any s_j rows; chosen[j] is the current row set
     stack: list[tuple[Iterator[tuple[int, ...]], int]] = []
     while True:
-        if len(chosen) < n - 1:
-            k = s[len(chosen)]
+        if len(chosen) < last:
+            k = sp[len(chosen)]
             live = [i for i in range(m) if rr[i] > 0]
             stack.append((itertools.combinations(live, k), sum(sorted(rr, reverse=True)[:k])))
         else:
-            # the residual is realizable, so the last column must take
-            # exactly the rows still short of their sums
-            last = [tuple(i for i in range(m) if rr[i])] if n else []
-            yield BinaryMatrix.from_column_sets(chosen + last, r.parts, s.parts)
+            # base: every row short by 1 takes column n-1; alt: column n-2
+            base_rows, base_bits = [], []
+            alt_rows, alt_bits = [None] * m, [0] * m
+            ones, twos = [], 0
+            for i, (row, left, mask) in enumerate(zip(grid, rr, bits)):
+                if left == 1:
+                    ones.append(i)
+                    row[last], row[-1] = 1, 0
+                    alt_rows[i], alt_bits[i] = tuple(row), mask | bit_a
+                    row[last], row[-1] = 0, 1
+                    mask |= bit_b
+                else:
+                    row[last] = row[-1] = left >> 1
+                    if left:
+                        twos += 1
+                        mask |= bit_a | bit_b
+                base_rows.append(tuple(row))
+                base_bits.append(mask)
+            for pick in itertools.combinations(ones, sp[last] - twos):
+                rows, row_bits = base_rows[:], base_bits[:]
+                for i in pick:
+                    rows[i], row_bits[i] = alt_rows[i], alt_bits[i]
+                a = BinaryMatrix.__new__(BinaryMatrix)
+                a._store(tuple(rows), rp, sp, tuple(row_bits))
+                yield a
         # advance to the next choice that keeps the residual realizable
         while stack:
-            if len(chosen) == len(stack):
+            j = len(chosen)
+            if j == len(stack):
+                j -= 1
                 for i in chosen.pop():
                     rr[i] += 1
+                    bits[i] ^= 1 << j
+                    grid[i][j] = 0
             combos, most = stack[-1]
             combo = next(combos, None)
             if combo is None:
@@ -66,8 +122,10 @@ def enumerate_class(r: Partition, s: Partition) -> Iterator[BinaryMatrix]:
             greedy = sum(map(rr.__getitem__, combo)) == most
             for i in combo:
                 rr[i] -= 1
+                bits[i] |= 1 << j
+                grid[i][j] = 1
             chosen.append(combo)
-            if greedy or margins_realizable(rr, s.parts[len(chosen):]):
+            if greedy or margins_realizable(rr, sp[j + 1:]):
                 break
         else:
             return
@@ -112,8 +170,7 @@ def brute_t_term_ranks(a: BinaryMatrix, t_max: int) -> tuple[int, ...]:
     so a reached vector whose largest entry is at most t is reached
     within quota t, and the t-term rank is the largest total among those
     vectors."""
-    if t_max < 1:
-        raise ValueError("t must be a positive integer")
+    t_max = positive_integer(t_max, "t")
     reach = {(0,) * a.m}
     for col in zip(*a.rows):
         rows = [i for i, v in enumerate(col) if v]
@@ -131,7 +188,7 @@ def brute_t_term_rank(a: BinaryMatrix, t: int) -> int:
     """The t-term rank by exhaustive assignment (see brute_t_term_ranks);
     a quota of the largest row sum already binds no row, so a larger t
     is read there."""
-    return brute_t_term_ranks(a, min(t, max((1, *a.row_sums))))[-1]
+    return brute_t_term_ranks(a, min(positive_integer(t, "t"), max((1, *a.row_sums))))[-1]
 
 
 def min_cover_values(a: BinaryMatrix, t_max: int) -> tuple[tuple[int, CoverSpec], ...]:
@@ -145,16 +202,16 @@ def min_cover_values(a: BinaryMatrix, t_max: int) -> tuple[tuple[int, CoverSpec]
     toward the smallest e, then the lexicographically smallest row set.
     Intended for small matrices.
     """
-    if t_max < 1:
-        raise ValueError("t must be a positive integer")
+    t_max = positive_integer(t_max, "t")
     col_masks = [sum(1 << i for i in range(a.m) if a.rows[i][j]) for j in range(a.n)]
     row_bits = [1 << i for i in range(a.m)]
-    # fewest[e]: the first row set of size e leaving the fewest columns
-    fewest: list[CoverSpec] = []
+    # fewest[e]: the first row set of size e leaving the fewest columns,
+    # and those columns
+    fewest: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for e in range(a.m + 1):
         # e rows cost at least t*e, and a cover with fewer rows costs at
         # most t*(e' + f') for every t
-        if fewest and e >= min(c.e + c.f for c in fewest):
+        if fewest and e >= min(k + len(cols) for k, (_, cols) in enumerate(fewest)):
             break
         best = None
         for chosen, covered in zip(
@@ -163,12 +220,15 @@ def min_cover_values(a: BinaryMatrix, t_max: int) -> tuple[tuple[int, CoverSpec]
             residual = tuple(j for j, mask in enumerate(col_masks) if mask & ~covered)
             if best is None or len(residual) < len(best[1]):
                 best = (chosen, residual)
-        rows, cols = best
-        fewest.append(CoverSpec(e=e, f=len(cols), rows=rows, cols=cols))
-    out = []
+        fewest.append(best)
+    # only the covers returned are built (and checked) as CoverSpecs
+    out, covers = [], {}
     for t in range(1, t_max + 1):
-        value, e = min((t * c.e + c.f, c.e) for c in fewest)
-        out.append((value, fewest[e]))
+        value, e = min((t * k + len(cols), k) for k, (_, cols) in enumerate(fewest))
+        if e not in covers:
+            rows, cols = fewest[e]
+            covers[e] = CoverSpec(e=e, f=len(cols), rows=rows, cols=cols)
+        out.append((value, covers[e]))
     return tuple(out)
 
 
@@ -177,11 +237,12 @@ def min_cover_value(a: BinaryMatrix, t: int) -> tuple[int, CoverSpec]:
     (see min_cover_values, which gives the same value and cover).  From
     t = n on, no cover with a row beats the n or fewer nonzero columns,
     so a larger t is read there."""
-    return min_cover_values(a, min(t, max(1, a.n)))[-1]
+    return min_cover_values(a, min(positive_integer(t, "t"), max(1, a.n)))[-1]
 
 
 def brute_min_t_term_rank(r: Partition, s: Partition, t: int) -> int:
     """Minimum t-term rank over the class, by full enumeration."""
+    t = positive_integer(t, "t")
     if not is_nonempty(r, s):
         raise EmptyClass(f"no matrix has row sums {r.parts} and column sums {s.parts}")
     return min(brute_t_term_rank(a, t) for a in enumerate_class(r, s))
@@ -208,11 +269,17 @@ def find_uniform_minimizer(
 
     Ranks and class minima stabilize once k reaches the largest row sum
     R_1, so t_max is clamped to R_1 (1 for an empty class), which is
-    also its default: checking k <= R_1 certifies all k >= 1.
+    also its default: checking k <= R_1 certifies all k >= 1.  t_max and
+    budget follow `partition.exact_integers` (2.0 passes as 2; 1.5
+    raises ValueError); t_max must be positive and budget nonnegative.
     """
     from . import flow, structure
-    if t_max is not None and t_max < 1:
-        raise ValueError("t_max must be a positive integer")
+    if t_max is not None:
+        t_max = positive_integer(t_max, "t_max")
+    if budget is not None:
+        (budget,) = exact_integers((budget,), "budget")
+        if budget < 0:
+            raise ValueError("budget must be nonnegative")
     if not is_nonempty(r, s):
         raise EmptyClass(f"no matrix has row sums {r.parts} and column sums {s.parts}")
     r1 = r.parts[0] if r.parts else 1

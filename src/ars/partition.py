@@ -79,6 +79,17 @@ def exact_integers(given: tuple, what: str) -> tuple[int, ...]:
     return ints
 
 
+def positive_integer(value, what: str) -> int:
+    """value as an int of at least 1, under the rule of `exact_integers`
+    (2.0 passes as 2; 1.5, "2" or None raise ValueError, as do 0 and
+    negative values).  An int goes through one class test."""
+    if value.__class__ is not int:
+        (value,) = exact_integers((value,), what)
+    if value < 1:
+        raise ValueError(f"{what} must be a positive integer")
+    return value
+
+
 def conjugate_counts(p: Partition, top: int) -> list[int]:
     """counts[z] = #{parts of p above z} for z = 0..top: the conjugate of
     p, cut or zero-padded to top+1 entries (none for top = -1), in one
@@ -132,16 +143,33 @@ def margins_realizable(rows: Iterable[int], cols: Iterable[int]) -> bool:
     place, without partitions: with the positive columns c sorted in
     decreasing order, the weights must agree and every prefix must fit,
     c_0 + ... + c_{k-1} <= sum_i min(r_i, k).  That is the majorization
-    of c by the conjugate of r; the last prefix also fails a row longer
-    than the number of positive columns."""
+    of c by the conjugate of r, whose entry k-1 counts the rows of sum
+    at least k, so one count of the rows by their sum gives every
+    prefix in O(m + n).  A row longer than the number of positive
+    columns fails at once: it fails the last prefix when the weights
+    agree, and the weights otherwise.  Rows that are not all ints take
+    the promotion itself, so 2.0 counts as 2 and 1.5 raises ValueError
+    once no shorter test has already failed."""
     rs = [v for v in rows if v > 0]
     cs = sorted((v for v in cols if v > 0), reverse=True)
+    top = len(cs)
+    count = [0] * (top + 1)  # count[k]: the rows of sum k
+    try:
+        for v in rs:
+            if v > top:
+                return False
+            count[v] += 1
+    except TypeError:
+        return is_nonempty(Partition.from_loose(rs), Partition.from_loose(cs))
     if sum(rs) != sum(cs):
         return False
-    need = 0
+    at_least = len(rs)  # the rows of sum at least k, for the k below
+    have = need = 0
     for k, c in enumerate(cs, 1):
+        have += at_least
+        at_least -= count[k]
         need += c
-        if need > sum(v if v < k else k for v in rs):
+        if need > have:
             return False
     return True
 

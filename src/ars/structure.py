@@ -44,7 +44,7 @@ from operator import add
 from typing import NamedTuple
 
 from .errors import BadRange, DimensionTooSmall, EmptyClass, WeightMismatch
-from .partition import Partition, conjugate_counts, is_nonempty
+from .partition import Partition, conjugate_counts, is_nonempty, positive_integer
 
 
 class StructureTable:
@@ -324,8 +324,7 @@ def min_t_term_rank(r: Partition, s: Partition, t: int) -> tuple[int, tuple[int,
     the frontier is known.  Ties break toward the smallest e, then the
     smallest f.
     """
-    if t < 1:
-        raise ValueError("t must be a positive integer")
+    t = positive_integer(t, "t")
     front = cover_frontier(r, s)
     best, e = min((t * e + f, e) for e, f in enumerate(front))
     return best, (e, front[e])
@@ -407,8 +406,7 @@ def uniform_minimizer_hypotheses(
     column sums from position f on are all 1, and each minimum k-term
     rank for k = 1..t equals k + f' or 2k + f.
     """
-    if t < 1:
-        raise ValueError("t must be a positive integer")
+    t = positive_integer(t, "t")
     m, n = len(r), len(s)
     if m <= 2 or n <= 2:
         raise DimensionTooSmall("needs more than two rows and two columns")

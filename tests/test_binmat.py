@@ -11,6 +11,7 @@ from ars import (
     CoverSpec,
     Partition,
     apply_interchange,
+    enumerate_class,
     in_class,
     is_covered,
     min_cover_value,
@@ -88,6 +89,23 @@ def test_ranking_leaves_the_value_unchanged():
     for clone in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
         assert clone == a and value(clone) == before and clone._rank_state is None
         assert list(islice(t_term_ranks(clone), 5)) == ranks
+
+
+def test_row_bits_leave_the_value_unchanged():
+    """Only a builder that knows the row bitmasks sets them; equality,
+    hashing, repr, the JSON and text forms, pickling and copying ignore
+    them, and clones start without them."""
+    a = next(enumerate_class(Partition((2, 1, 1)), Partition((2, 1, 1))))
+    plain = BinaryMatrix(a.rows)
+    assert a._row_bits == (0b011, 0b001, 0b100) and plain._row_bits is None
+
+    def value(x):
+        return hash(x), repr(x), x.to_json_obj(), x.to_text(), pickle.dumps(x)
+
+    assert a == plain and value(a) == value(plain)
+    for clone in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert clone == a and value(clone) == value(a) and clone._row_bits is None
+    assert apply_interchange(a, 0, 2, 0, 2)._row_bits is None
 
 
 def test_cached_margins():
@@ -252,6 +270,25 @@ def test_cover_spec_sizes_are_integers():
     assert cover == (2, 1, None, None)
     assert type(cover.e) is int and type(cover.f) is int
     assert cover.row_set(3) == frozenset({0, 1})
+
+
+def test_cover_spec_indices_are_integers():
+    """The explicit index sets follow the sizes' rule: 1.0 is stored as 1,
+    and 0.5 or "a" raises ValueError instead of being kept (0.5 made a
+    cover that is_covered read as covering nothing) or failing later
+    with a TypeError."""
+    cover = CoverSpec(1, 1, rows=(1.0,), cols=[0])
+    assert cover == (1, 1, (1,), (0,))
+    assert all(type(i) is int for i in cover.rows + cover.cols)
+    assert cover.row_set(2) == frozenset({1})
+    assert is_covered(BinaryMatrix([[1, 0], [1, 1]]), cover)
+    for bad in ((0.5,), ("a",), (None,), (1, 1.5)):
+        with pytest.raises(ValueError, match="cover rows must be integers"):
+            CoverSpec(len(bad), 0, rows=bad)
+        with pytest.raises(ValueError, match="cover cols must be integers"):
+            CoverSpec(0, len(bad), cols=bad)
+    with pytest.raises(ValueError, match="negative index in rows"):
+        CoverSpec(1, 0, rows=(-1.0,))
 
 
 def test_min_cover_values():

@@ -83,6 +83,22 @@ def test_rank_rejects_bad_t():
         t_term_rank(FLOW_EXAMPLE, 0)
 
 
+def test_rank_t_follows_the_integer_rule():
+    """2.0 is read as 2, before and after the matrix is ranked; a fraction
+    or a string raises ValueError on every matrix, not only where a float
+    list index happens to be reached."""
+    for rows in ([[1, 1], [1, 0]], FLOW_EXAMPLE.rows, [[1] * 4] * 3):
+        a, plain = BinaryMatrix(rows), BinaryMatrix(rows)
+        for bad in (1.5, 0.5, "2", None, float("nan"), -2):
+            with pytest.raises(ValueError):
+                t_term_rank(a, bad)
+            with pytest.raises(ValueError):
+                build_t_rank_network(a, bad)
+        assert t_term_rank(a, 2.0) == t_term_rank(plain, 2)
+        assert t_term_rank(a, 10.0) == t_term_rank(plain, 10)
+        assert build_t_rank_network(a, 2.0).max_flow() == t_term_rank(plain, 2)
+
+
 def test_rank_huge_t_clamps_to_largest_row_sum():
     # in the last matrix a row is still at quota at t = its sum
     for a in (

@@ -1,5 +1,7 @@
 import itertools
 import pickle
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +17,9 @@ from ars import (
     in_class,
     min_t_term_rank,
     t_term_rank,
+    t_term_ranks,
 )
-from ars import oracle
+from ars import flow, oracle
 from ars.errors import EmptyClass
 
 from helpers import matrices
@@ -115,6 +118,162 @@ def test_enumerated_members_match_the_constructor(small_classes):
             assert pickle.loads(pickle.dumps(a)) == b
             assert pickle.dumps(a) == pickle.dumps(b)
             assert a._rank_state is None
+
+
+def members_by_column_sets(r, s):
+    """Every choice of one row set per column, in itertools.product order,
+    whose row sums are r; no Gale-Ryser test and no closed form.  A
+    partial choice that overfills a row, or leaves a row more short than
+    the columns still open, is cut with everything after it, which keeps
+    the product order of the rest."""
+    m, n = len(r), len(s)
+    sums, cols, out = [0] * m, [], []
+
+    def extend(j):
+        if j == n:
+            out.append(BinaryMatrix([[int(i in rows) for rows in cols] for i in range(m)]))
+            return
+        for rows in itertools.combinations(range(m), s[j]):
+            for i in rows:
+                sums[i] += 1
+            if all(sums[i] <= r[i] <= sums[i] + n - j - 1 for i in range(m)):
+                cols.append(rows)
+                extend(j + 1)
+                cols.pop()
+            for i in rows:
+                sums[i] -= 1
+
+    extend(0)
+    return out
+
+
+def row_masks(a):
+    return tuple(sum(v << j for j, v in enumerate(row)) for row in a.rows)
+
+
+def sampled_desk_classes(count, seed, most=2000):
+    """Seeded classes from random 0/1 grids with m, n in 3..6 and no
+    empty line, each with at most `most` members."""
+    rng = random.Random(seed)
+    classes = []
+    while len(classes) < count:
+        m, n = rng.randint(3, 6), rng.randint(3, 6)
+        density = rng.uniform(0.2, 0.8)
+        grid = [[int(rng.random() < density) for _ in range(n)] for _ in range(m)]
+        if not all(map(any, grid)) or not all(map(any, zip(*grid))):
+            continue
+        r = Partition(sorted(map(sum, grid), reverse=True))
+        s = Partition(sorted(map(sum, zip(*grid)), reverse=True))
+        if sum(1 for _ in itertools.islice(enumerate_class(r, s), most + 1)) <= most:
+            classes.append((r, s))
+    return classes
+
+
+# (r, s) with n = 1, 2, 3, and classes whose rows are all short by 2
+# or all short by 1 (or 0) when the last two columns are reached
+EDGE_CLASSES = [
+    ((1, 1, 1), (3,)),
+    ((1,), (1,)),
+    ((2, 2, 2), (3, 3)),
+    ((1, 1, 1, 1), (2, 2)),
+    ((2, 1, 1), (2, 2)),
+    ((1, 1), (1, 1)),
+    ((3, 3), (2, 2, 2)),
+    ((1, 1, 1), (1, 1, 1)),
+    ((3, 2, 2, 1), (3, 3, 2)),
+    ((3, 3, 3), (3, 3, 3)),
+    ((2, 2, 2, 2, 2, 2), (4, 4, 4)),
+    ((5,), (1, 1, 1, 1, 1)),
+    ((1, 1, 1, 1, 1), (5,)),
+]
+
+
+def test_enumerate_order_matches_column_sets_on_desk_classes():
+    pairs = [(Partition(r), Partition(s)) for r, s in EDGE_CLASSES]
+    pairs += sampled_desk_classes(40, seed=2024)
+    assert {len(s) for _, s in pairs} >= {1, 2, 3, 4, 5, 6}
+    for r, s in pairs:
+        mats = list(enumerate_class(r, s))
+        assert mats and mats == members_by_column_sets(r, s), (r, s)
+
+
+def test_enumerated_members_carry_their_row_bits():
+    pairs = [(Partition(r), Partition(s)) for r, s in EDGE_CLASSES]
+    for r, s in pairs + sampled_desk_classes(15, seed=7):
+        for a in enumerate_class(r, s):
+            assert a._row_bits == row_masks(a)
+            assert len({id(row) for row in a.rows}) == a.m
+            plain = BinaryMatrix(a.rows)
+            assert plain._row_bits is None
+            assert pickle.loads(pickle.dumps(a))._row_bits is None
+            # a kernel started from the bits ranks as one started from rows
+            top = max(a.row_sums) + 1
+            assert list(itertools.islice(t_term_ranks(a), top)) == list(
+                itertools.islice(t_term_ranks(plain), top)
+            )
+            assert a._rank_state.ranks == plain._rank_state.ranks
+
+
+def test_enumeration_memory_does_not_grow_with_members():
+    r = s = Partition((3,) * 6)  # 297,200 members; the test reads 6,001
+    members = enumerate_class(r, s)
+    next(members)
+    tracemalloc.start()
+    try:
+        for _ in itertools.islice(members, 1000):
+            pass
+        first = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        for _ in itertools.islice(members, 5000):
+            pass
+        later = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert later <= first + 4096
+
+
+def test_final_rank_profile_runs_no_step(monkeypatch):
+    a = next(enumerate_class(Partition((3, 2, 2, 1)), Partition((3, 3, 2))))
+    profile = [t_term_rank(a, t) for t in range(1, 4)]
+    assert a._rank_state.adj is None
+
+    def no_step(self):
+        raise AssertionError("a final profile ran a kernel step")
+
+    monkeypatch.setattr(flow._RankKernel, "step", no_step)
+    for t in (1, 2, 3, 4, 10**9, 2.0):
+        assert t_term_rank(a, t) == profile[min(int(t), 3) - 1]
+    for bad in (0, -1, 1.5, "2"):
+        with pytest.raises(ValueError):
+            t_term_rank(a, bad)
+
+
+def test_oracle_rejects_fractional_t():
+    a = BinaryMatrix([[1, 1, 0], [1, 0, 1]])
+    r, s = Partition((2, 1, 1)), Partition((2, 1, 1))
+    for bad in (1.5, "2", 0):
+        for call in (
+            lambda: brute_t_term_rank(a, bad),
+            lambda: oracle.brute_t_term_ranks(a, bad),
+            lambda: oracle.min_cover_value(a, bad),
+            lambda: oracle.min_cover_values(a, bad),
+            lambda: brute_min_t_term_rank(r, s, bad),
+            lambda: find_uniform_minimizer(r, s, t_max=bad),
+        ):
+            with pytest.raises(ValueError):
+                call()
+    assert brute_t_term_rank(a, 2.0) == brute_t_term_rank(a, 2)
+    assert brute_min_t_term_rank(r, s, 2.0) == brute_min_t_term_rank(r, s, 2)
+    assert find_uniform_minimizer(r, s, t_max=2.0) == find_uniform_minimizer(r, s, t_max=2)
+
+
+def test_find_uniform_minimizer_rejects_bad_budgets():
+    r, s = Partition((2, 1, 1)), Partition((2, 1, 1))
+    for bad in (-1, 1.5, "3"):
+        with pytest.raises(ValueError):
+            find_uniform_minimizer(r, s, budget=bad)
+    assert find_uniform_minimizer(r, s, budget=0) == (None, False, 0)
+    assert find_uniform_minimizer(r, s, budget=3.0) == find_uniform_minimizer(r, s, budget=3)
 
 
 def test_brute_rank_worked_example():

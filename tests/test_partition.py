@@ -132,6 +132,10 @@ def test_margins_realizable_loose():
     assert not margins_realizable((3, 1), (0, 2, 2, 0))
     assert margins_realizable((), ()) and margins_realizable((0, 0), (0,))
     assert not margins_realizable((1,), ()) and not margins_realizable((), (1,))
+    # integral floats count as their ints; a fraction fails the promotion
+    assert margins_realizable((2.0, 1), (2, 1)) and not margins_realizable((2.0, 2), (3.0, 1))
+    with pytest.raises(ValueError):
+        margins_realizable((1.5, 0.5), (1, 1))
 
 
 def _gale_ryser(rows, cols):

@@ -164,6 +164,21 @@ def test_min_rank_validates():
         min_t_term_rank(Partition((2, 2)), Partition((3, 1)), 1)
 
 
+def test_structure_t_follows_the_integer_rule():
+    """An integral float passes as its int; a fraction or a string is
+    rejected instead of scaling the witness cost (1.5 once gave 2.5)."""
+    r, s = Partition((2, 1, 1)), Partition((2, 1, 1))
+    for bad in (1.5, "2", None, -1):
+        with pytest.raises(ValueError):
+            min_t_term_rank(r, s, bad)
+        with pytest.raises(ValueError):
+            uniform_minimizer_hypotheses(R_REF, S_REF, bad)
+    assert min_t_term_rank(r, s, 2.0) == min_t_term_rank(r, s, 2)
+    assert uniform_minimizer_hypotheses(R_REF, S_REF, 6.0) == uniform_minimizer_hypotheses(
+        R_REF, S_REF, 6
+    )
+
+
 def test_cover_exists_reference():
     assert cover_exists(R_REF, S_REF, 3, 3)
     assert not cover_exists(R_REF, S_REF, 3, 2)
