@@ -6,11 +6,12 @@ and (e2, f2): `two_cover_parts` calls it with two crossing covers and
 `modified_ryser` with both covers equal to (e, f).  Each checks first
 that some class member carries its covers (`structure.cover_exists`,
 `structure.two_cover_exists`) and raises InfeasibleShift when none
-does.  One column shift, `_shift_columns`, picks the rows of every
-column by one rule: largest live sum, bottommost on ties.  By Ryser's
-lemma that rule fills any realizable margins, so the shift itself
-raises InfeasibleShift on unrealizable ones and the residual core needs
-no Gale-Ryser test.  Every matrix is assembled from the shift's column
+does.  Cover sizes follow `partition.exact_integers`: 2.0 passes as 2,
+and 2.5 raises ValueError.  One column shift, `_shift_columns`, picks
+the rows of every column by one rule: largest live sum, bottommost on
+ties.  By Ryser's lemma that rule fills any realizable margins, so the
+shift itself raises InfeasibleShift on unrealizable ones and the
+residual core needs no Gale-Ryser test.  Every matrix is assembled from the shift's column
 row-lists, with margins known by construction.  The normal form of an
 interchange path is the shift of the shared margins, made once."""
 
@@ -29,7 +30,7 @@ from .errors import (
     NotSameClass,
     VerificationFailed,
 )
-from .partition import Partition, is_nonempty
+from .partition import Partition, exact_integers, is_nonempty
 from . import flow, structure
 
 
@@ -79,6 +80,7 @@ def canonical_column_submatrix(
     requested cover shape is unreachable by this construction.
     """
     m, n = len(r), len(s)
+    e, f = exact_integers((e, f), "cover sizes")
     if not (0 <= e <= m and 0 <= f <= n):
         raise BadRange(f"need 0 <= e <= {m} and 0 <= f <= {n}, got e={e}, f={f}")
     block = BinaryMatrix.from_column_sets(*_shift_columns(r.parts, s.parts, e, f), s.parts[f:])
@@ -127,8 +129,10 @@ def modified_ryser(r: Partition, s: Partition, e: int, f: int) -> BinaryMatrix:
     transposed construction on the first f columns, and the top-left
     block is a canonical fill of the leftover margins.  Raises
     InfeasibleShift when no class member has this cover (see
-    structure.cover_exists).
+    structure.cover_exists).  e and f follow `partition.exact_integers`
+    (2.0 passes as 2; 2.5 raises ValueError).
     """
+    e, f = exact_integers((e, f), "cover sizes")
     if not structure.cover_exists(r, s, e, f):
         raise InfeasibleShift(
             f"no class member is covered by its first {e} rows and first {f} columns"
@@ -158,6 +162,7 @@ class TwoCoverParts(NamedTuple):
 def _normalize_covers(
     cover_a: tuple[int, int], cover_b: tuple[int, int], m: int, n: int
 ) -> tuple[tuple[int, int], tuple[int, int]]:
+    cover_a, cover_b = (exact_integers(tuple(cover), "cover sizes") for cover in (cover_a, cover_b))
     for e, f in (cover_a, cover_b):
         if not (0 <= e <= m and 0 <= f <= n):
             raise BadRange(f"cover ({e},{f}) out of range for {m}x{n}")

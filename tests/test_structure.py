@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ars import (
     Partition,
     BinaryMatrix,
+    canonical_column_submatrix,
     cover_exists,
     interchange_path,
     is_nonempty,
@@ -27,7 +28,15 @@ from ars import (
 from ars import structure
 from ars.errors import BadRange, DimensionTooSmall, EmptyClass, WeightMismatch
 from ars.oracle import brute_phi
-from ars.structure import _drop_last, _envelope, _lower_hull, clear_table_cache, cover_frontier
+from ars.partition import iter_partitions
+from ars.structure import (
+    _drop_last,
+    _envelope,
+    _extend,
+    _lower_hull,
+    clear_table_cache,
+    cover_frontier,
+)
 
 from helpers import matrices
 
@@ -179,6 +188,36 @@ def test_structure_t_follows_the_integer_rule():
     )
 
 
+def test_cover_sizes_follow_the_integer_rule():
+    """cover_exists, psi, two_cover_exists and the cover constructions take an
+    integral float as its int and refuse a fraction; 2.5 once answered
+    True, and modified_ryser failed with a TypeError deep in its shift."""
+    r, s = R_69, S_69
+    assert cover_exists(r, s, 2.0, 4) == cover_exists(r, s, 2, 4.0) == cover_exists(r, s, 2, 4)
+    assert psi(r, s, 1.0, 3, 2.0, 5) == psi(r, s, 1, 3, 2, 5) == psi_brute(r, s, 1, 3, 2, 5)
+    assert two_cover_exists(r, s, 1, 3.0, 2, 5) == two_cover_exists(r, s, 1, 3, 2, 5)
+    assert modified_ryser(r, s, 2.0, 4.0) == modified_ryser(r, s, 2, 4)
+    assert canonical_column_submatrix(r, s, 2.0, 4) == canonical_column_submatrix(r, s, 2, 4)
+    assert two_cover_matrix(r, s, (1.0, 5), (2, 4.0)) == two_cover_matrix(r, s, (1, 5), (2, 4))
+    for bad in (2.5, "2", None):
+        with pytest.raises(ValueError):
+            cover_exists(r, s, 2, bad)
+        with pytest.raises(ValueError):
+            cover_exists(r, s, bad, 4)
+        with pytest.raises(ValueError):
+            psi(r, s, 1, 3, bad, 5)
+        with pytest.raises(ValueError):
+            two_cover_exists(r, s, bad, 3, 2, 5)
+        with pytest.raises(ValueError):
+            modified_ryser(r, s, 2, bad)
+        with pytest.raises(ValueError):
+            canonical_column_submatrix(r, s, bad, 4)
+        with pytest.raises(ValueError):
+            two_cover_matrix(r, s, (1, 5), (2, bad))
+    with pytest.raises(ValueError):
+        psi(r, s, 0.5, 2, 0, 2)
+
+
 def test_cover_exists_reference():
     assert cover_exists(R_REF, S_REF, 3, 3)
     assert not cover_exists(R_REF, S_REF, 3, 2)
@@ -240,6 +279,22 @@ def test_envelope_matches_direct_minimum(values, c, top):
         assert _envelope(hull, top) == direct
         assert _lower_hull(values, cut) == hull
         _drop_last(hull)
+
+
+@given(st.lists(st.integers(-6, 6), max_size=12), st.lists(st.integers(-6, 6), max_size=12))
+@example([3, 0, 0], [0, 3])
+@settings(max_examples=200, deadline=None)
+def test_hull_tail_pushes_and_pops_back(prefix, tail):
+    """A hull over a prefix, extended by a tail, is the hull of the whole
+    sequence, and dropping the tail's points gives the prefix's hull
+    back: the frontier keeps one hull over the column minima this way."""
+    hull = _lower_hull(prefix, len(prefix) - 1)
+    kept = tuple(map(list, hull))
+    _extend(hull, len(prefix), tail)
+    assert hull == _lower_hull(prefix + tail, len(prefix + tail) - 1)
+    for _ in tail:
+        _drop_last(hull)
+    assert tuple(hull) == kept
 
 
 def test_psi_two_cover_witness_inequality():
@@ -409,6 +464,91 @@ def test_tables_match_brute_phi_seeded():
 def test_tables_match_brute_phi_large(r, s):
     assert (len(r), len(s)) == (20, 25)
     assert_tables_match_brute_phi(r, s)
+
+
+def _gale_ryser_floor(r, s, e, f_prev):
+    """The floor of row e from its definition: the least f >= max(S*_e,
+    R_{e+1}) with R_{e+1} + ... + R_m <= sum over j <= f of min(S_j,
+    m - e), cut at front[e-1]."""
+    rows, cols, m = r.parts + (0,), s.parts, len(r)
+    base = max(sum(v > e for v in cols), rows[e])
+    fits = (f for f in range(base, f_prev) if sum(rows[e:]) <= sum(min(v, m - e) for v in cols[:f]))
+    return next(fits, f_prev)
+
+
+def _frontier_probes(monkeypatch, r, s):
+    """The cover frontier from cold tables, with the phi cells it probed."""
+    probes = []
+    cell = structure._ClassTables.phi_cell
+
+    def counted(tables, k, c, hull):
+        probes.append((k, c))
+        return cell(tables, k, c, hull)
+
+    clear_table_cache()
+    with monkeypatch.context() as patch:
+        patch.setattr(structure._ClassTables, "phi_cell", counted)
+        front = cover_frontier(r, s)
+    clear_table_cache()
+    return front, probes
+
+
+def brute_frontier(r, s):
+    """front[e] read off brute_phi: the least f with phi[e][f] == t[e][f]."""
+    brute, tv = brute_phi(r, s), structure_matrix(r, s).values
+    return tuple(next(f for f, (p, q) in enumerate(zip(b, t)) if p == q) for b, t in zip(brute, tv))
+
+
+def test_seeded_walk_takes_each_branch(monkeypatch):
+    """R = (3,1,1,1), S = (2,2,2) takes every branch of the seeded walk:
+    row 1's floor 3 is front[0], so it probes nothing; row 2's floor 1
+    fails, so the walk comes down from front[1] = 3 and stops at 2,
+    above the floor; rows 3 and 4 probe their floors once and hold."""
+    r, s = Partition((3, 1, 1, 1)), Partition((2, 2, 2))
+    front, probes = _frontier_probes(monkeypatch, r, s)
+    assert front == (3, 3, 2, 1, 0) == brute_frontier(r, s)
+    assert [_gale_ryser_floor(r, s, e, front[e - 1]) for e in range(1, 5)] == [3, 1, 1, 0]
+    assert probes == [(2, 1), (2, 2), (3, 1), (4, 0)]
+
+
+def test_seeded_walk_probes_match_brute_phi(monkeypatch):
+    """On every class with at most 4 rows and 4 columns and on seeded
+    classes up to 9x9, the floor never passes the frontier of brute_phi,
+    the walk finds that frontier, and each row probes as its branch
+    says: none when the floor is front[e-1], one when the floor is
+    front[e], and otherwise the floor, each cell from front[e-1] - 1
+    down to front[e], and front[e] - 1 if that is above the floor."""
+    classes = [
+        (r, s)
+        for w in range(1, 9)
+        for r in iter_partitions(4, w)
+        for s in iter_partitions(4, w)
+        if is_nonempty(r, s)
+    ]
+    rng = random.Random(1957)
+    for _ in range(60):
+        m, n, density = rng.randint(1, 9), rng.randint(1, 9), rng.uniform(0.2, 0.8)
+        grid = [[int(rng.random() < density) for _ in range(n)] for _ in range(m)]
+        classes.append(margins(BinaryMatrix(grid)))
+    seen = set()
+    for r, s in classes:
+        front, probes = _frontier_probes(monkeypatch, r, s)
+        assert front == brute_frontier(r, s)
+        for e in range(1, len(r) + 1):
+            lo = _gale_ryser_floor(r, s, e, front[e - 1])
+            assert lo <= front[e]
+            row = [c for k, c in probes if k == e]
+            if lo == front[e - 1]:
+                seen.add("no probe")
+                assert row == []
+            elif lo == front[e]:
+                seen.add("confirmed")
+                assert row == [lo]
+            else:
+                seen.add("fallback")
+                walk = list(range(front[e - 1] - 1, max(front[e] - 2, lo), -1))
+                assert row == [lo] + walk
+    assert seen == {"no probe", "confirmed", "fallback"}
 
 
 def test_phi_reference_matches_brute():
