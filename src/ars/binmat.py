@@ -27,8 +27,10 @@ class BinaryMatrix:
     rank kernel starts from it instead of reading the rows.
     ``_rank_state`` belongs to `ars.flow`: it holds the warm
     t-term-rank kernel of the matrix once the matrix is ranked (None
-    before).  Equality, hashing, repr, the JSON and text forms, pickling
-    and copying ignore both; a copy starts without them.
+    before); enumerated members of one class that are row permutations
+    of each other hold the same kernel, since their ranks are equal.
+    Equality, hashing, repr, the JSON and text forms, pickling and
+    copying ignore both; a copy starts without them.
     """
 
     __slots__ = ("rows", "m", "n", "row_sums", "col_sums", "_row_bits", "_rank_state")

@@ -11,6 +11,21 @@ ranks, and `t_term_rank` reads any t from them without a step.  The
 kernel starts from the row bitmasks a matrix carries in its `_row_bits`
 slot when its builder knew them (every member `enumerate_class` yields
 does), so a sweep of a class never turns rows back into masks.
+
+Permuting the rows of a matrix changes none of its t-term ranks, and
+members of a class with repeated row sums are often row permutations of
+each other.  So enumerated members (those carrying `_row_bits`) share
+one kernel per multiset of row bitmasks, the sorted tuple of their masks:
+each step runs once per row multiset of the class.  The memo is a
+one-class slot, as `structure` keeps one class's tables: a member of
+another class starts a fresh dict, and a class at `_SHARED_CAP` (4,096)
+kernels empties its dict before it adds one, which frees the kernels no
+matrix holds.  Measured with
+tracemalloc, a kernel and its key take about 0.3 KB once final and
+0.75 KB partly stepped at 6x9, so at such sizes the memo stays under
+about 3 MB; the size of a kernel grows with m + n.  Matrices built by the
+constructor never enter the memo and keep a kernel of their own.
+
 `FlowNetwork` is the one transportation network over unit cells
 (Edmonds-Karp): it serves `feasible_bounded`, and through
 `build_t_rank_network` it is the independent oracle the rank kernel is
@@ -112,7 +127,11 @@ def build_t_rank_network(a: BinaryMatrix, t: int) -> FlowNetwork:
 
 class _RankKernel:
     """The warm b-matching state of one matrix, kept in the matrix's
-    `_rank_state` slot so that each kernel step runs once per matrix.
+    `_rank_state` slot so that each kernel step runs once per matrix, or
+    once per row multiset among enumerated members of one class (see
+    `_kernel`): row permutations have equal ranks for every t, so only
+    `ranks` is read from outside, and owner and load follow the row order
+    of the member that created the kernel.
 
     A bipartite b-matching over bitmask rows: owner[j] is the row that
     selected column j (-1 while j is free) and load[i] counts the columns
@@ -217,11 +236,40 @@ class _RankKernel:
             self.adj = self.owner = self.load = None
 
 
+# (row sums, column sums, {sorted row bitmasks: kernel}) of the one
+# enumerated class whose kernels are shared
+_shared: tuple = (None, None, {})
+_SHARED_CAP = 4096
+
+
 def _kernel(a: BinaryMatrix) -> _RankKernel:
-    """The rank kernel of a, created the first time a is ranked."""
+    """The rank kernel of a, found or created the first time a is ranked.
+
+    An enumerated member (`_row_bits` set) takes the kernel of any member
+    of its class ranked before it with the same sorted row bitmasks, a
+    row permutation of it; a new class starts a fresh dict, and a class
+    at `_SHARED_CAP` kernels empties its dict before it adds one.  Any
+    other matrix gets its own kernel.
+    """
     kernel = a._rank_state
-    if kernel is None:
+    if kernel is not None:
+        return kernel
+    bits = a._row_bits
+    if bits is None:
         kernel = a._rank_state = _RankKernel(a)
+        return kernel
+    global _shared
+    r, s, kernels = _shared  # one read: the three always belong together
+    if r != a.row_sums or s != a.col_sums:
+        kernels = {}
+        _shared = (a.row_sums, a.col_sums, kernels)
+    key = tuple(sorted(bits))
+    kernel = kernels.get(key)
+    if kernel is None:
+        if len(kernels) >= _SHARED_CAP:
+            kernels.clear()
+        kernel = kernels[key] = _RankKernel(a)
+    a._rank_state = kernel
     return kernel
 
 
@@ -232,9 +280,12 @@ def t_term_ranks(a: BinaryMatrix) -> Iterator[int]:
     step t-1 (see `_RankKernel`).  The kernel state lives on the matrix,
     so each step runs once per matrix however many generators and
     `t_term_rank` calls read it, and a value is computed only when it is
-    taken.  Once no row is at quota, t reaches the largest row sum, or
-    every nonzero column is selected, the rank repeats; the kernel then
-    releases its arrays and keeps only the ranks.
+    taken.  Enumerated members of one class that are row permutations of
+    each other share one kernel (see `_kernel`), so a class sweep steps
+    once per row multiset.  Once no row is at quota, t reaches the
+    largest row sum, or every nonzero column is selected, the rank
+    repeats; the kernel then releases its arrays and keeps only the
+    ranks.
     """
     kernel = _kernel(a)
     for t in count(1):
@@ -246,9 +297,11 @@ def t_term_rank(a: BinaryMatrix, t: int) -> int:
     and at most t per row.
 
     Read from the rank kernel kept on a, which `t_term_ranks` shares:
-    each step up to t runs once per matrix, and the profile is final by
-    the step at the largest row sum, so any t costs at most that many
-    steps (one for a zero matrix).  A rank whose step has run, or any
+    each step up to t runs once per matrix (once per row multiset among
+    enumerated members of one class, whose row permutations share a
+    kernel, see `_kernel`), and the profile is final by the step at the
+    largest row sum, so any t costs at most that many steps (one for a
+    zero matrix).  A rank whose step has run, or any
     rank once the profile is final, is read straight from the kernel's
     list.  t follows `partition.exact_integers` (2.0 passes as 2; 1.5
     raises ValueError); an int t costs one class test and one

@@ -49,10 +49,11 @@ def enumerate_class(r: Partition, s: Partition) -> Iterator[BinaryMatrix]:
     are built once, and each member picks among them.  Two rows of one
     member are never the same object, as in the constructor's matrices.
     Members carry their masks in the ``_row_bits`` slot, from which the
-    rank kernel starts; nothing is checked, since the search makes every
-    entry 0/1 and the margins exactly (r, s).  Memory is O(mn) whatever
-    the class size.  A caller that wants only a prefix takes it with
-    itertools.islice.
+    rank kernel starts, and by which `ars.flow` lets members that are row
+    permutations of each other share one kernel; nothing is checked,
+    since the search makes every entry 0/1 and the margins exactly
+    (r, s).  Memory is O(mn) whatever the class size.  A caller that
+    wants only a prefix takes it with itertools.islice.
     """
     m, n = len(r), len(s)
     if not is_nonempty(r, s):

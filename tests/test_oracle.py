@@ -2,6 +2,7 @@ import itertools
 import pickle
 import random
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from ars import (
 )
 from ars import flow, oracle
 from ars.errors import EmptyClass
+from ars.oracle import brute_t_term_ranks
 
 from helpers import matrices
 
@@ -246,6 +248,127 @@ def test_final_rank_profile_runs_no_step(monkeypatch):
     for bad in (0, -1, 1.5, "2"):
         with pytest.raises(ValueError):
             t_term_rank(a, bad)
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """Start with no shared rank kernels; the memo is put back afterwards."""
+    monkeypatch.setattr(flow, "_shared", (None, None, {}))
+
+
+def test_shared_kernels_rank_every_member_exactly(empty_memo, monkeypatch, small_classes):
+    """Members that are row permutations of each other share one kernel.
+    Ranked in enumeration order, and again in a shuffled order at mixed t
+    (so one member's partly stepped kernel is extended by another's
+    reads), every member's profile equals the exhaustive one and that of
+    an unshared copy, and the uniform-minimizer search answers as it does
+    from an empty memo."""
+    rng = random.Random(1906)
+    pairs = list(small_classes) + sampled_desk_classes(40, seed=1906)
+    for r, s in pairs:
+        top = max(r.parts)
+        ts = range(1, top + 1)
+        profiles = {}
+        for a in enumerate_class(r, s):
+            got = [t_term_rank(a, t) for t in ts]
+            want = list(brute_t_term_ranks(a, top))
+            assert got == want == [t_term_rank(BinaryMatrix(a.rows), t) for t in ts], a
+            profiles[a] = want
+        searched = find_uniform_minimizer(r, s)
+        monkeypatch.setattr(flow, "_shared", (None, None, {}))
+        members = list(enumerate_class(r, s))
+        rng.shuffle(members)
+        for a in members:
+            t_term_rank(a, rng.randint(1, top + 1))
+        for a in members:
+            t = rng.randint(1, top + 1)
+            assert t_term_rank(a, t) == profiles[a][min(t, top) - 1]
+            assert list(itertools.islice(t_term_ranks(a), top)) == profiles[a]
+        monkeypatch.setattr(flow, "_shared", (None, None, {}))
+        cold = find_uniform_minimizer(r, s)
+        assert tuple(searched) == tuple(cold), (r, s)
+
+
+def test_row_permuted_members_share_one_kernel(empty_memo, monkeypatch):
+    r, s = Partition((2, 2, 1, 1)), Partition((2, 2, 2))
+    steps = []
+    step = flow._RankKernel.step
+
+    def counted(self):
+        steps.append((tuple(sorted(self.adj)), len(self.ranks) + 1))
+        step(self)
+
+    monkeypatch.setattr(flow._RankKernel, "step", counted)
+    members = list(enumerate_class(r, s))
+    for a in members:
+        assert [t_term_rank(a, t) for t in (1, 2)] == list(brute_t_term_ranks(a, 2))
+    # each step of each row multiset runs once
+    keys = {tuple(sorted(a._row_bits)) for a in members}
+    assert len(steps) == len(set(steps)) and {key for key, _ in steps} == keys
+    assert len(keys) < len(members)
+    by_key = {}
+    for a in members:
+        kernel = by_key.setdefault(tuple(sorted(a._row_bits)), a._rank_state)
+        assert a._rank_state is kernel
+    assert len({id(k) for k in by_key.values()}) == len(keys)
+    # matrices from the constructor keep a kernel each, even when equal
+    # or row-permuted, and never enter the memo
+    a = members[0]
+    plain, same, flipped = (BinaryMatrix(rows) for rows in (a.rows, a.rows, a.rows[::-1]))
+    for b in (plain, same, flipped):
+        t_term_rank(b, 2)
+    assert len({id(b._rank_state) for b in (a, plain, same, flipped)}) == 4
+    assert len(flow._shared[2]) == len(keys)
+
+
+def test_members_with_one_row_set_in_other_multiplicities_share_nothing(empty_memo):
+    """Two members of one 7x7 class with the same set of rows, taken
+    three and two times or two and three times: the first ranks one less
+    at t = 1, since its three rows (1,1,0,...) hold two columns between
+    them.  A kernel keyed by the set of rows would give both one rank."""
+    r, s = Partition((5, 5, 5, 2, 2, 2, 2)), Partition((4, 4, 3, 3, 3, 3, 3))
+    wide, mid = (1, 1, 1, 1, 0, 0, 1), (0, 0, 1, 1, 1, 1, 1)
+    pair, tail = (1, 1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1, 0)
+    ranked = []
+    for rows, want in (
+        ((wide, mid, mid, pair, pair, pair, tail), 6),
+        ((wide, wide, mid, pair, pair, tail, tail), 7),
+    ):
+        # built as enumerate_class builds its members, row bitmasks included
+        a = BinaryMatrix.__new__(BinaryMatrix)
+        bits = tuple(sum(v << j for j, v in enumerate(row)) for row in rows)
+        a._store(rows, r.parts, s.parts, bits)
+        assert a.row_sums == r.parts and a.col_sums == s.parts
+        assert t_term_rank(a, 1) == want == brute_t_term_ranks(a, 1)[0]
+        ranked.append(a)
+    assert set(ranked[0]._row_bits) == set(ranked[1]._row_bits)
+    assert ranked[0]._rank_state is not ranked[1]._rank_state
+
+
+def test_shared_kernels_of_a_class_are_freed_by_the_next(empty_memo, monkeypatch):
+    class Kernel(flow._RankKernel):  # a kernel a weakref can point at
+        __slots__ = ("__weakref__",)
+
+    monkeypatch.setattr(flow, "_RankKernel", Kernel)
+    a = next(enumerate_class(Partition((2, 2, 1)), Partition((2, 2, 1))))
+    t_term_rank(a, 1)
+    kernel = weakref.ref(a._rank_state)
+    del a
+    assert kernel() is not None  # the memo holds it
+    t_term_rank(next(enumerate_class(Partition((2, 1)), Partition((2, 1)))), 1)
+    assert kernel() is None
+
+
+def test_shared_kernel_memo_stays_within_its_cap(empty_memo, monkeypatch):
+    monkeypatch.setattr(flow, "_SHARED_CAP", 8)
+    r = s = Partition((3,) * 6)
+    keys = set()
+    for a in itertools.islice(enumerate_class(r, s), 3000):
+        keys.add(tuple(sorted(a._row_bits)))
+        t = len(keys) % 3 + 1
+        assert t_term_rank(a, t) == t_term_rank(BinaryMatrix(a.rows), t)
+        assert len(flow._shared[2]) <= 8
+    assert len(keys) > 8
 
 
 def test_oracle_rejects_fractional_t():
