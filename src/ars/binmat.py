@@ -18,13 +18,19 @@ class BinaryMatrix:
 
     Text format: first line ``m n``, then m lines of n space-separated
     0/1 digits; blank lines and ``#`` comment lines are ignored when
-    parsing.  JSON form: ``{"m":..,"n":..,"rows":[[..],..]}``.
+    parsing, so an m-by-0 matrix is its header alone.  JSON form:
+    ``{"m":..,"n":..,"rows":[[..],..]}``.  Either form must declare the
+    shape of its rows, and a matrix with no rows is 0x0.
 
     Two more slots are caches that no value behaviour sees.
     ``_row_bits`` holds each row as a column bitmask (bit j set iff the
     row has a 1 in column j), a tuple set only by a builder that already
     knows the bits, such as class enumeration, and None otherwise; the
-    rank kernel starts from it instead of reading the rows.
+    rank kernel starts from it instead of reading the rows.  Such a
+    builder may leave the rows unbuilt (``_rows`` None): the first read
+    of ``rows`` builds them from the bitmasks, each row a fresh tuple as
+    in the constructor's matrices, and keeps them.  Every other builder
+    stores its rows at once.
     ``_rank_state`` belongs to `ars.flow`: it holds the warm
     t-term-rank kernel of the matrix once the matrix is ranked (None
     before); enumerated members of one class that are row permutations
@@ -33,7 +39,7 @@ class BinaryMatrix:
     copying ignore both; a copy starts without them.
     """
 
-    __slots__ = ("rows", "m", "n", "row_sums", "col_sums", "_row_bits", "_rank_state")
+    __slots__ = ("_rows", "m", "n", "row_sums", "col_sums", "_row_bits", "_rank_state")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
         try:
@@ -48,18 +54,30 @@ class BinaryMatrix:
         self._store(grid, tuple(map(sum, grid)), tuple(map(sum, zip(*grid))))
 
     def _store(
-        self, rows: tuple, row_sums: tuple, col_sums: tuple, row_bits: tuple | None = None
+        self, rows: tuple | None, row_sums: tuple, col_sums: tuple, row_bits: tuple | None = None
     ) -> None:
-        """Set every slot as given.  Only the constructor checks rows and
-        margins first; the unchecked builders vouch for their own, and
-        for the row bitmasks when they pass them."""
-        self.rows = rows
-        self.m = len(rows)
+        """Set every slot as given; the shape is len(row_sums) by
+        len(col_sums).  Only the constructor checks rows and margins
+        first; the unchecked builders vouch for their own, and for the
+        row bitmasks when they pass them.  rows may be None only when
+        row_bits is given: the rows are then built on first read."""
+        self._rows = rows
+        self.m = len(row_sums)
         self.n = len(col_sums)
         self.row_sums = row_sums
         self.col_sums = col_sums
         self._row_bits = row_bits
         self._rank_state = None
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        rows = self._rows
+        if rows is None:
+            cols = range(self.n)
+            rows = self._rows = tuple(
+                tuple([mask >> j & 1 for j in cols]) for mask in self._row_bits
+            )
+        return rows
 
     @classmethod
     def from_column_sets(
@@ -97,15 +115,21 @@ class BinaryMatrix:
         if len(header) != 2:
             raise ValueError("first line must be 'm n'")
         m, n = int(header[0]), int(header[1])
-        if len(lines) - 1 != m:
-            raise ValueError(f"expected {m} rows, got {len(lines) - 1}")
+        body = lines[1:]
+        if n == 0 and not body:
+            body = [""] * m  # the empty rows of an m-by-0 matrix are blank lines
+        if len(body) != m:
+            raise ValueError(f"expected {m} rows, got {len(body)}")
         rows = []
-        for ln in lines[1:]:
+        for ln in body:
             vals = [int(v) for v in ln.split()]
             if len(vals) != n:
                 raise ValueError(f"expected {n} entries per row")
             rows.append(vals)
-        return cls(rows)
+        a = cls(rows)
+        if a.m != m or a.n != n:
+            raise ValueError("declared dimensions disagree with rows")
+        return a
 
     def to_text(self) -> str:
         out = [f"{self.m} {self.n}"]

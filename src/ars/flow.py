@@ -10,7 +10,8 @@ profile is final the kernel releases its arrays and keeps only the
 ranks, and `t_term_rank` reads any t from them without a step.  The
 kernel starts from the row bitmasks a matrix carries in its `_row_bits`
 slot when its builder knew them (every member `enumerate_class` yields
-does), so a sweep of a class never turns rows back into masks.
+does), and such a member builds its row tuples only when `rows` is
+read, so a sweep of a class never builds rows.
 
 Permuting the rows of a matrix changes none of its t-term ranks, and
 members of a class with repeated row sums are often row permutations of

@@ -43,17 +43,18 @@ def enumerate_class(r: Partition, s: Partition) -> Iterator[BinaryMatrix]:
     lexicographic order of their column row-sets.  One column (n = 1)
     takes every row.
 
-    The walk keeps each row's entries and its column bitmask up to date
-    as it chooses and undoes columns, so the members need no per-member
-    grid: at a node of depth n-2 each row's possible tuples and masks
-    are built once, and each member picks among them.  Two rows of one
-    member are never the same object, as in the constructor's matrices.
-    Members carry their masks in the ``_row_bits`` slot, from which the
-    rank kernel starts, and by which `ars.flow` lets members that are row
-    permutations of each other share one kernel; nothing is checked,
-    since the search makes every entry 0/1 and the margins exactly
-    (r, s).  Memory is O(mn) whatever the class size.  A caller that
-    wants only a prefix takes it with itertools.islice.
+    The walk keeps only the residual row sums and each row's column
+    bitmask, updated as it chooses and undoes columns: at a node of depth
+    n-2 each row's possible masks are found once, and each member picks
+    among them.  A member is built from its masks alone and carries them
+    in the ``_row_bits`` slot, from which the rank kernel starts, and by
+    which `ars.flow` lets members that are row permutations of each other
+    share one kernel; its row tuples are built on the first read of
+    ``rows`` (see `BinaryMatrix`), so a sweep that only ranks members
+    never builds them.  Nothing is checked, since the search makes every
+    entry 0/1 and the margins exactly (r, s).  Memory is O(mn) whatever
+    the class size.  A caller that wants only a prefix takes it with
+    itertools.islice.
     """
     m, n = len(r), len(s)
     if not is_nonempty(r, s):
@@ -62,12 +63,11 @@ def enumerate_class(r: Partition, s: Partition) -> Iterator[BinaryMatrix]:
     if n < 2:
         # one column takes every row (n = 0 only in the 0x0 class)
         a = BinaryMatrix.__new__(BinaryMatrix)
-        a._store(tuple(tuple([1]) for _ in range(m)), rp, sp, (1,) * m)
+        a._store(None, rp, sp, (1,) * m)
         yield a
         return
     rr = list(rp)
     bits = [0] * m
-    grid = [[0] * n for _ in range(m)]
     last = n - 2  # the first column of the closed form
     bit_a, bit_b = 1 << last, 1 << (n - 1)
     chosen: list[tuple[int, ...]] = []
@@ -81,29 +81,23 @@ def enumerate_class(r: Partition, s: Partition) -> Iterator[BinaryMatrix]:
             stack.append((itertools.combinations(live, k), sum(sorted(rr, reverse=True)[:k])))
         else:
             # base: every row short by 1 takes column n-1; alt: column n-2
-            base_rows, base_bits = [], []
-            alt_rows, alt_bits = [None] * m, [0] * m
+            base, alt = [], [0] * m
             ones, twos = [], 0
-            for i, (row, left, mask) in enumerate(zip(grid, rr, bits)):
+            for i, (left, mask) in enumerate(zip(rr, bits)):
                 if left == 1:
                     ones.append(i)
-                    row[last], row[-1] = 1, 0
-                    alt_rows[i], alt_bits[i] = tuple(row), mask | bit_a
-                    row[last], row[-1] = 0, 1
+                    alt[i] = mask | bit_a
                     mask |= bit_b
-                else:
-                    row[last] = row[-1] = left >> 1
-                    if left:
-                        twos += 1
-                        mask |= bit_a | bit_b
-                base_rows.append(tuple(row))
-                base_bits.append(mask)
+                elif left:
+                    twos += 1
+                    mask |= bit_a | bit_b
+                base.append(mask)
             for pick in itertools.combinations(ones, sp[last] - twos):
-                rows, row_bits = base_rows[:], base_bits[:]
+                row_bits = base[:]
                 for i in pick:
-                    rows[i], row_bits[i] = alt_rows[i], alt_bits[i]
+                    row_bits[i] = alt[i]
                 a = BinaryMatrix.__new__(BinaryMatrix)
-                a._store(tuple(rows), rp, sp, tuple(row_bits))
+                a._store(None, rp, sp, tuple(row_bits))
                 yield a
         # advance to the next choice that keeps the residual realizable
         while stack:
@@ -113,7 +107,6 @@ def enumerate_class(r: Partition, s: Partition) -> Iterator[BinaryMatrix]:
                 for i in chosen.pop():
                     rr[i] += 1
                     bits[i] ^= 1 << j
-                    grid[i][j] = 0
             combos, most = stack[-1]
             combo = next(combos, None)
             if combo is None:
@@ -124,7 +117,6 @@ def enumerate_class(r: Partition, s: Partition) -> Iterator[BinaryMatrix]:
             for i in combo:
                 rr[i] -= 1
                 bits[i] |= 1 << j
-                grid[i][j] = 1
             chosen.append(combo)
             if greedy or margins_realizable(rr, sp[j + 1:]):
                 break

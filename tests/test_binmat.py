@@ -108,6 +108,38 @@ def test_row_bits_leave_the_value_unchanged():
     assert apply_interchange(a, 0, 2, 0, 2)._row_bits is None
 
 
+def spelled(a):
+    """The constructor's matrix of the rows a's bitmasks spell."""
+    return BinaryMatrix([[mask >> j & 1 for j in range(a.n)] for mask in a._row_bits])
+
+
+def test_unread_rows_leave_the_value_unchanged():
+    """An enumerated member builds its rows on first read.  Before that
+    read, each value behaviour equals that of the constructor's matrix of
+    the same rows; each behaviour is taken from fresh members, since
+    equality and hashing read the rows."""
+    views = (
+        lambda x, y: x == y and y == x,
+        lambda x, y: hash(x) == hash(y),
+        lambda x, y: repr(x) == repr(y),
+        lambda x, y: pickle.dumps(x) == pickle.dumps(y),
+        lambda x, y: x.to_json_obj() == y.to_json_obj(),
+        lambda x, y: x.to_text() == y.to_text(),
+    )
+    for r, s in [
+        ((2, 1, 1), (2, 1, 1)),
+        ((3, 2, 2, 1), (3, 3, 2)),
+        ((1, 1, 1), (3,)),
+        ((4, 2), (1,) * 6),
+    ]:
+        for same in views:
+            for a in enumerate_class(Partition(r), Partition(s)):
+                plain = spelled(a)
+                assert a._rows is None and same(a, plain), (r, s)
+                assert a.rows == plain.rows and a._rows is a.rows
+                assert len({id(row) for row in a.rows}) == a.m
+
+
 def test_cached_margins():
     a = FLOW_EXAMPLE
     assert a.row_sums == (4, 1, 1)
@@ -124,8 +156,13 @@ def test_from_column_sets_without_rows_is_the_empty_grid():
 
 
 def test_text_round_trip():
-    for a in (FLOW_EXAMPLE, BinaryMatrix([[0]]), TWO_COVER_OUTPUT):
-        assert BinaryMatrix.from_text(a.to_text()) == a
+    empty = [BinaryMatrix([[]] * m) for m in (0, 1, 3)]
+    for a in (FLOW_EXAMPLE, BinaryMatrix([[0]]), TWO_COVER_OUTPUT, *empty):
+        back = BinaryMatrix.from_text(a.to_text())
+        assert back == a and (back.m, back.n) == (a.m, a.n)
+    # an m-by-0 matrix needs no row lines
+    assert BinaryMatrix.from_text("2 0") == BinaryMatrix([[], []])
+    assert BinaryMatrix.from_text("0 0") == BinaryMatrix([])
 
 
 def test_text_rejects_malformed():
@@ -133,6 +170,15 @@ def test_text_rejects_malformed():
         BinaryMatrix.from_text("2 2\n1 1\n")
     with pytest.raises(ValueError):
         BinaryMatrix.from_text("")
+    # the declared shape must be the rows' shape, as in the JSON form
+    for text in ("0 3", "0 1\n# no rows"):
+        with pytest.raises(ValueError, match="^declared dimensions disagree with rows$"):
+            BinaryMatrix.from_text(text)
+    with pytest.raises(ValueError, match="^declared dimensions disagree with rows$"):
+        BinaryMatrix.from_json_obj({"m": 0, "n": 3, "rows": []})
+    for text in ("1 0\n1", "2 0\n0 0", "-1 0"):
+        with pytest.raises(ValueError):
+            BinaryMatrix.from_text(text)
 
 
 def test_json_round_trip():

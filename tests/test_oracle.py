@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from ars import (
     BinaryMatrix,
     Partition,
+    is_nonempty,
     brute_min_t_term_rank,
     brute_t_term_rank,
     enumerate_class,
@@ -214,6 +215,27 @@ def test_enumerated_members_carry_their_row_bits():
                 itertools.islice(t_term_ranks(plain), top)
             )
             assert a._rank_state.ranks == plain._rank_state.ranks
+
+
+def test_a_desk_sweep_builds_no_rows(small_pairs):
+    """Members are built from their row bitmasks alone, and nothing a
+    sweep asks of them reads their rows: right after a member is yielded,
+    and after every rank, the class minima and the uniform-minimizer
+    search, no member holds row tuples."""
+    pairs = [(r, s) for r, s in small_pairs if is_nonempty(r, s)]
+    pairs += sampled_desk_classes(15, seed=31)
+    assert max(len(s) for _, s in pairs) == 6 and max(len(r) for r, _ in pairs) == 6
+    for r, s in pairs:
+        members = []
+        for a in enumerate_class(r, s):
+            assert a._rows is None
+            members.append(a)
+        ts = range(1, r[0] + 1)
+        sweep = [min(col) for col in zip(*([t_term_rank(a, t) for t in ts] for a in members))]
+        assert sweep == [min_t_term_rank(r, s, t)[0] for t in ts]
+        found = find_uniform_minimizer(r, s).matrix
+        assert found is None or found._rows is None
+        assert all(a._rows is None for a in members), (r, s)
 
 
 def test_enumeration_memory_does_not_grow_with_members():
