@@ -13,6 +13,26 @@ from .partition import Partition, exact_integers
 _BIT = {0: 0, 1: 1}.__getitem__
 
 
+class _RowLists(dict):
+    """Maps mask | 1 << n to the entries of the length-n row with column
+    bitmask mask, as a list, worked out on the first lookup.  A row made
+    from it by tuple() is a fresh tuple, so rows built from one entry
+    never share an object.  At _ROW_LISTS_CAP entries it empties before
+    adding one."""
+
+    __slots__ = ()
+
+    def __missing__(self, key: int) -> list[int]:
+        if len(self) >= _ROW_LISTS_CAP:
+            self.clear()
+        row = self[key] = [key >> j & 1 for j in range(key.bit_length() - 1)]
+        return row
+
+
+_ROW_LISTS_CAP = 4096
+_ROW_LISTS = _RowLists()
+
+
 class BinaryMatrix:
     """An immutable dense m-by-n matrix over {0,1} with cached margins.
 
@@ -29,8 +49,8 @@ class BinaryMatrix:
     rank kernel starts from it instead of reading the rows.  Such a
     builder may leave the rows unbuilt (``_rows`` None): the first read
     of ``rows`` builds them from the bitmasks, each row a fresh tuple as
-    in the constructor's matrices, and keeps them.  Every other builder
-    stores its rows at once.
+    in the constructor's matrices (made from a shared `_RowLists` table),
+    and keeps them.  Every other builder stores its rows at once.
     ``_rank_state`` belongs to `ars.flow`: it holds the warm
     t-term-rank kernel of the matrix once the matrix is ranked (None
     before); enumerated members of one class that are row permutations
@@ -73,10 +93,8 @@ class BinaryMatrix:
     def rows(self) -> tuple[tuple[int, ...], ...]:
         rows = self._rows
         if rows is None:
-            cols = range(self.n)
-            rows = self._rows = tuple(
-                tuple([mask >> j & 1 for j in cols]) for mask in self._row_bits
-            )
+            top, lists = 1 << self.n, _ROW_LISTS
+            rows = self._rows = tuple([tuple(lists[mask | top]) for mask in self._row_bits])
         return rows
 
     @classmethod

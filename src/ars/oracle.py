@@ -196,7 +196,7 @@ def min_cover_values(a: BinaryMatrix, t_max: int) -> tuple[tuple[int, CoverSpec]
     Intended for small matrices.
     """
     t_max = positive_integer(t_max, "t")
-    col_masks = [sum(1 << i for i in range(a.m) if a.rows[i][j]) for j in range(a.n)]
+    col_masks = [sum(1 << i for i, v in enumerate(col) if v) for col in zip(*a.rows)]
     row_bits = [1 << i for i in range(a.m)]
     # fewest[e]: the first row set of size e leaving the fewest columns,
     # and those columns

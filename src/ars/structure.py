@@ -386,15 +386,12 @@ def cover_exists(r: Partition, s: Partition, e: int, f: int) -> bool:
     raises ValueError)."""
     if e.__class__ is not int or f.__class__ is not int:
         e, f = exact_integers((e, f), "cover sizes")
-    last_r, last_s, tables = _recent  # one read: the three always belong together
-    if last_r is r and last_s is s and tables.nonempty:
-        front = tables.frontier  # one entry per e = 0..m, and front[0] = n
-        if 0 <= e < len(front) and 0 <= f <= front[0]:
-            return f >= front[e]
-    # a class change, an empty class or a bad range: the range goes first
     if not (0 <= e <= len(r.parts) and 0 <= f <= len(s.parts)):
         raise BadRange(f"cover ({e},{f}) out of range for {len(r)}x{len(s)}")
-    return f >= _nonempty_tables(r, s).frontier[e]
+    last_r, last_s, tables = _recent  # one read: the three always belong together
+    if last_r is not r or last_s is not s or not tables.nonempty:
+        tables = _nonempty_tables(r, s)  # a class change, or an empty class
+    return f >= tables.frontier[e]
 
 
 def min_t_term_rank(r: Partition, s: Partition, t: int) -> tuple[int, tuple[int, int]]:

@@ -17,6 +17,7 @@ from ars import (
     min_cover_value,
     t_term_ranks,
 )
+from ars import binmat
 from ars.errors import InvalidInterchange
 from ars.oracle import min_cover_values
 
@@ -138,6 +139,20 @@ def test_unread_rows_leave_the_value_unchanged():
                 assert a._rows is None and same(a, plain), (r, s)
                 assert a.rows == plain.rows and a._rows is a.rows
                 assert len({id(row) for row in a.rows}) == a.m
+
+
+def test_row_lists_stay_bounded_and_keep_widths_apart(monkeypatch):
+    """Rows built on first read take their entries from a shared table of
+    lists keyed by mask and width; the table empties at its cap, and a
+    mask read at two widths keeps two entries."""
+    monkeypatch.setattr(binmat, "_ROW_LISTS_CAP", 5)
+    binmat._ROW_LISTS.clear()
+    for r, s in [((3, 2, 2, 1), (3, 3, 2)), ((1, 1), (1, 1)), ((1, 1, 1), (3,)), ((4, 2), (1,) * 6)]:
+        for a in enumerate_class(Partition(r), Partition(s)):
+            assert a.rows == spelled(a).rows, (r, s)
+            assert len({id(row) for row in a.rows}) == a.m
+            assert len(binmat._ROW_LISTS) <= 5
+    binmat._ROW_LISTS.clear()
 
 
 def test_cached_margins():
