@@ -15,10 +15,10 @@ _BIT = {0: 0, 1: 1}.__getitem__
 
 class _RowLists(dict):
     """Maps mask | 1 << n to the entries of the length-n row with column
-    bitmask mask, as a list, worked out on the first lookup.  A row made
-    from it by tuple() is a fresh tuple, so rows built from one entry
-    never share an object.  At _ROW_LISTS_CAP entries it empties before
-    adding one."""
+    bitmask mask, as a list, worked out on the first lookup.  Its users
+    copy an entry (by tuple() for rows, by a slice for the JSON form),
+    so rows built from one entry never share an object.  At
+    _ROW_LISTS_CAP entries it empties before adding one."""
 
     __slots__ = ()
 
@@ -50,7 +50,9 @@ class BinaryMatrix:
     builder may leave the rows unbuilt (``_rows`` None): the first read
     of ``rows`` builds them from the bitmasks, each row a fresh tuple as
     in the constructor's matrices (made from a shared `_RowLists` table),
-    and keeps them.  Every other builder stores its rows at once.
+    and keeps them; the JSON form copies its row lists from that table
+    and leaves the rows unbuilt.  Every other builder stores its rows at
+    once.
     ``_rank_state`` belongs to `ars.flow`: it holds the warm
     t-term-rank kernel of the matrix once the matrix is ranked (None
     before); enumerated members of one class that are row permutations
@@ -80,7 +82,9 @@ class BinaryMatrix:
         len(col_sums).  Only the constructor checks rows and margins
         first; the unchecked builders vouch for their own, and for the
         row bitmasks when they pass them.  rows may be None only when
-        row_bits is given: the rows are then built on first read."""
+        row_bits is given: the rows are then built on first read.  Class
+        enumeration sets these slots in place for each member it yields,
+        so a new slot must be set there too."""
         self._rows = rows
         self.m = len(row_sums)
         self.n = len(col_sums)
@@ -162,7 +166,13 @@ class BinaryMatrix:
         return a
 
     def to_json_obj(self) -> dict:
-        return {"m": self.m, "n": self.n, "rows": [list(row) for row in self.rows]}
+        # unbuilt rows are copied from the row-list table, and stay unbuilt
+        if self._rows is None:
+            top, lists = 1 << self.n, _ROW_LISTS
+            rows = [lists[mask | top][:] for mask in self._row_bits]
+        else:
+            rows = [list(row) for row in self._rows]
+        return {"m": self.m, "n": self.n, "rows": rows}
 
     def ones(self) -> Iterator[tuple[int, int]]:
         """Positions (i, j) of the 1-entries, row-major."""

@@ -17,15 +17,19 @@ Permuting the rows of a matrix changes none of its t-term ranks, and
 members of a class with repeated row sums are often row permutations of
 each other.  So enumerated members (those carrying `_row_bits`) share
 one kernel per multiset of row bitmasks, the sorted tuple of their masks:
-each step runs once per row multiset of the class.  The memo is a
+each step runs once per row multiset of the class.  A member's first
+read costs one lookup: its class is matched by identity of its margin
+tuples (the members of one walk share them; equality is the fallback),
+its kernel by its sorted masks, and a rank another member has stepped
+is read from the kernel's list with no further call.  The memo is a
 one-class slot, as `structure` keeps one class's tables: a member of
 another class starts a fresh dict, and a class at `_SHARED_CAP` (4,096)
 kernels empties its dict before it adds one, which frees the kernels no
-matrix holds.  Measured with
-tracemalloc, a kernel and its key take about 0.3 KB once final and
-0.75 KB partly stepped at 6x9, so at such sizes the memo stays under
-about 3 MB; the size of a kernel grows with m + n.  Matrices built by the
-constructor never enter the memo and keep a kernel of their own.
+matrix holds.  Measured with tracemalloc, a kernel and its key take
+about 0.3 KB once final and 0.75 KB partly stepped at 6x9, so at such
+sizes the memo stays under about 3 MB; the size of a kernel grows with
+m + n.  Matrices built by the constructor never enter the memo and keep
+a kernel of their own.
 
 `FlowNetwork` is the one transportation network over unit cells
 (Edmonds-Karp): it serves `feasible_bounded`, and through
@@ -244,26 +248,24 @@ _SHARED_CAP = 4096
 
 
 def _kernel(a: BinaryMatrix) -> _RankKernel:
-    """The rank kernel of a, found or created the first time a is ranked.
+    """The rank kernel of a matrix not ranked before, found or created.
 
     An enumerated member (`_row_bits` set) takes the kernel of any member
-    of its class ranked before it with the same sorted row bitmasks, a
-    row permutation of it; a new class starts a fresh dict, and a class
-    at `_SHARED_CAP` kernels empties its dict before it adds one.  Any
-    other matrix gets its own kernel.
+    of its class (its margin tuples, by identity first) ranked before it
+    with the same sorted row bitmasks, a row permutation of it; a new
+    class starts a fresh dict, and a class at `_SHARED_CAP` kernels
+    empties its dict before it adds one.  Any other matrix gets its own.
     """
-    kernel = a._rank_state
-    if kernel is not None:
-        return kernel
     bits = a._row_bits
     if bits is None:
         kernel = a._rank_state = _RankKernel(a)
         return kernel
     global _shared
     r, s, kernels = _shared  # one read: the three always belong together
-    if r != a.row_sums or s != a.col_sums:
+    rs, cs = a.row_sums, a.col_sums
+    if (r is not rs and r != rs) or (s is not cs and s != cs):
         kernels = {}
-        _shared = (a.row_sums, a.col_sums, kernels)
+        _shared = (rs, cs, kernels)
     key = tuple(sorted(bits))
     kernel = kernels.get(key)
     if kernel is None:
@@ -286,11 +288,12 @@ def t_term_ranks(a: BinaryMatrix) -> Iterator[int]:
     once per row multiset.  Once no row is at quota, t reaches the
     largest row sum, or every nonzero column is selected, the rank
     repeats; the kernel then releases its arrays and keeps only the
-    ranks.
+    ranks.  Ranks already stepped are read from the kernel's list.
     """
-    kernel = _kernel(a)
+    kernel = a._rank_state or _kernel(a)
+    ranks = kernel.ranks
     for t in count(1):
-        yield kernel.rank(t)
+        yield ranks[t - 1] if t <= len(ranks) else kernel.rank(t)
 
 
 def t_term_rank(a: BinaryMatrix, t: int) -> int:
@@ -302,22 +305,21 @@ def t_term_rank(a: BinaryMatrix, t: int) -> int:
     enumerated members of one class, whose row permutations share a
     kernel, see `_kernel`), and the profile is final by the step at the
     largest row sum, so any t costs at most that many steps (one for a
-    zero matrix).  A rank whose step has run, or any
-    rank once the profile is final, is read straight from the kernel's
-    list.  t follows `partition.exact_integers` (2.0 passes as 2; 1.5
-    raises ValueError); an int t costs one class test and one
-    comparison.
+    zero matrix).  A rank whose step has run, or any rank once the
+    profile is final, is read straight from the kernel's list, also on a
+    member's first read (after one `_kernel` lookup).  t follows
+    `partition.exact_integers` (2.0 passes as 2; 1.5 raises ValueError);
+    an int t costs one class test and one comparison.
     """
     if t.__class__ is not int or t < 1:
         t = positive_integer(t, "t")
-    kernel = a._rank_state
-    if kernel is not None:
-        ranks = kernel.ranks
-        if t <= len(ranks):
-            return ranks[t - 1]
-        if kernel.adj is None:
-            return ranks[-1]
-    return _kernel(a).rank(t)
+    kernel = a._rank_state or _kernel(a)
+    ranks = kernel.ranks
+    if t <= len(ranks):
+        return ranks[t - 1]
+    if kernel.adj is None:
+        return ranks[-1]
+    return kernel.rank(t)
 
 
 def feasible_bounded(

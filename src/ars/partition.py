@@ -5,6 +5,7 @@ test."""
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import accumulate
 
 
 class Partition:
@@ -138,39 +139,38 @@ def is_nonempty(r: Partition, s: Partition) -> bool:
 def margins_realizable(rows: Iterable[int], cols: Iterable[int]) -> bool:
     """Gale-Ryser feasibility for loose margin sequences (any order;
     entries below 1 count as absent, as in `Partition.from_loose`): the
-    verdict of `is_nonempty` on the promoted partitions.  It is the
-    residual-margin pruning test of class enumeration, so it works in
-    place, without partitions: with the positive columns c sorted in
-    decreasing order, the weights must agree and every prefix must fit,
-    c_0 + ... + c_{k-1} <= sum_i min(r_i, k).  That is the majorization
-    of c by the conjugate of r, whose entry k-1 counts the rows of sum
+    verdict of `is_nonempty` on the promoted partitions.  Both sequences
+    follow `exact_integers` (2.0 counts as 2; 1.5 raises ValueError).
+    The weights must agree, and the positive rows must fit the prefix
+    sums of the positive columns in decreasing order (`rows_fit`)."""
+    rs = [v for v in exact_integers(tuple(rows), "row sums") if v > 0]
+    cs = sorted((v for v in exact_integers(tuple(cols), "column sums") if v > 0), reverse=True)
+    return sum(rs) == sum(cs) and rows_fit(rs, tuple(accumulate(cs)))
+
+
+def rows_fit(rows: Sequence[int], need: Sequence[int]) -> bool:
+    """The prefix half of the Gale-Ryser test, for nonnegative int rows
+    and need[k-1] = c_0 + ... + c_{k-1}, the prefix sums of columns c in
+    decreasing order: every row is at most len(need), and every prefix
+    fits, need[k-1] <= sum_i min(r_i, k).  That is the majorization of c
+    by the conjugate of the rows, whose entry k-1 counts the rows of sum
     at least k, so one count of the rows by their sum gives every
-    prefix in O(m + n).  A row longer than the number of positive
-    columns fails at once: it fails the last prefix when the weights
-    agree, and the weights otherwise.  Rows that are not all ints take
-    the promotion itself, so 2.0 counts as 2 and 1.5 raises ValueError
-    once no shorter test has already failed."""
-    rs = [v for v in rows if v > 0]
-    cs = sorted((v for v in cols if v > 0), reverse=True)
-    top = len(cs)
-    count = [0] * (top + 1)  # count[k]: the rows of sum k
+    prefix in O(m + n).  With equal weights it is realizability, which
+    `margins_realizable` checks and class enumeration keeps at every
+    node; the enumeration builds each depth's need once per walk."""
+    count = [0] * (len(need) + 1)  # count[k]: the rows of sum k
     try:
-        for v in rs:
-            if v > top:
-                return False
+        for v in rows:
             count[v] += 1
-    except TypeError:
-        return is_nonempty(Partition.from_loose(rs), Partition.from_loose(cs))
-    if sum(rs) != sum(cs):
+    except IndexError:
         return False
-    at_least = len(rs)  # the rows of sum at least k, for the k below
-    have = need = 0
-    for k, c in enumerate(cs, 1):
+    at_least = len(rows) - count[0]  # the rows of sum at least k, for the k below
+    have = 0
+    for k, c in enumerate(need, 1):
         have += at_least
-        at_least -= count[k]
-        need += c
-        if need > have:
+        if c > have:
             return False
+        at_least -= count[k]
     return True
 
 

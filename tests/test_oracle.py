@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import pickle
 import random
@@ -12,6 +13,7 @@ from ars import (
     BinaryMatrix,
     Partition,
     is_nonempty,
+    margins_realizable,
     brute_min_t_term_rank,
     brute_t_term_rank,
     enumerate_class,
@@ -84,13 +86,13 @@ def test_enumerate_order_matches_product_of_column_sets(small_classes):
 
 def test_enumerate_skips_gale_ryser_on_greedy_columns(monkeypatch):
     calls = []
-    realizable = oracle.margins_realizable
+    fit = oracle.rows_fit
 
-    def counting(rows, cols):
+    def counting(rows, need):
         calls.append(1)
-        return realizable(rows, cols)
+        return fit(rows, need)
 
-    monkeypatch.setattr(oracle, "margins_realizable", counting)
+    monkeypatch.setattr(oracle, "rows_fit", counting)
     n = 3000
     first = next(enumerate_class(Partition((n,)), Partition((1,) * n)))
     assert first == BinaryMatrix([[1] * n])
@@ -99,6 +101,24 @@ def test_enumerate_skips_gale_ryser_on_greedy_columns(monkeypatch):
     # first column may take rows 1 and 2, which is not greedy
     assert len(list(enumerate_class(Partition((2, 1, 1)), Partition((2, 1, 1))))) == 5
     assert calls
+
+
+@given(st.data())
+@settings(max_examples=300)
+def test_per_depth_prune_matches_gale_ryser(data):
+    """The walk's test at depth j, `rows_fit` against the prefix sums of
+    the column sums after column j, agrees with margins_realizable on
+    residuals of the weight of those columns, each unit of it in a random
+    row: realizable or not, with rows longer than the columns left and
+    rows too few for the largest column."""
+    m = data.draw(st.integers(1, 7))
+    sp = sorted(data.draw(st.lists(st.integers(1, m), min_size=3, max_size=8)), reverse=True)
+    j = data.draw(st.integers(0, len(sp) - 3))
+    rr = [0] * m
+    for _ in range(sum(sp[j + 1:])):
+        rr[data.draw(st.integers(0, m - 1))] += 1
+    need = tuple(itertools.accumulate(sp[j + 1:]))
+    assert oracle.rows_fit(rr, need) == margins_realizable(rr, sp[j + 1:])
 
 
 def test_enumerated_members_match_the_constructor(small_classes):
@@ -236,6 +256,38 @@ def test_a_desk_sweep_builds_no_rows(small_pairs):
         found = find_uniform_minimizer(r, s).matrix
         assert found is None or found._rows is None
         assert all(a._rows is None for a in members), (r, s)
+
+
+def test_json_of_unread_members_builds_no_rows(small_classes):
+    """The JSON form of a member whose rows were never read is that of the
+    constructor's matrix, in fresh lists, and leaves the rows unbuilt."""
+    for r, s in small_classes:
+        for a in enumerate_class(r, s):
+            got = a.to_json_obj()
+            want = dict(got, rows=[row[:] for row in got["rows"]])
+            for row in got["rows"]:
+                row.append(2)  # a caller's edit reaches no later output
+            assert a.to_json_obj() == want and a._rows is None
+            assert want == BinaryMatrix(a.rows).to_json_obj()
+
+
+def test_desk_sweep_answers_are_pinned():
+    """Over 40 seeded desk classes up to 6x6, each member's row bitmasks
+    in enumeration order, its t-term ranks for t = 1..R_1, and the
+    uniform-minimizer search's (rows, complete, scanned) hash to a fixed
+    digest: the walk and the rank reads may change only if every member,
+    its order, its ranks and the search's witness stay the same."""
+    pairs = sampled_desk_classes(40, seed=2210)
+    assert max(len(s) for _, s in pairs) == 6 and max(len(r) for r, _ in pairs) == 6
+    digest = hashlib.sha256()
+    for r, s in pairs:
+        ts = range(1, r[0] + 1)
+        for a in enumerate_class(r, s):
+            digest.update(repr((a._row_bits, [t_term_rank(a, t) for t in ts])).encode())
+        got = find_uniform_minimizer(r, s)
+        rows = None if got.matrix is None else got.matrix.rows
+        digest.update(repr((rows, got.complete, got.scanned)).encode())
+    assert digest.hexdigest() == "8f73a84223f285e4a90c0ff97dc22f6cee9d4800540bb67c7b5375377eb848fa"
 
 
 def test_enumeration_memory_does_not_grow_with_members():
@@ -379,6 +431,22 @@ def test_shared_kernels_of_a_class_are_freed_by_the_next(empty_memo, monkeypatch
     assert kernel() is not None  # the memo holds it
     t_term_rank(next(enumerate_class(Partition((2, 1)), Partition((2, 1)))), 1)
     assert kernel() is None
+
+
+def test_shared_memo_knows_a_class_by_its_margins(empty_memo):
+    """Members of two walks of one class, from equal but distinct
+    partitions, share kernels; a class that differs only in its column
+    sums starts a fresh dict."""
+    r, s = Partition((2, 2, 1)), Partition((2, 2, 1))
+    a = next(enumerate_class(r, s))
+    t_term_rank(a, 1)
+    b = next(enumerate_class(Partition((2, 2, 1)), Partition((2, 2, 1))))
+    assert b.row_sums is not a.row_sums and b.col_sums is not a.col_sums
+    t_term_rank(b, 1)
+    assert b._rank_state is a._rank_state
+    memo = flow._shared[2]
+    t_term_rank(next(enumerate_class(r, Partition((2, 1, 1, 1)))), 1)
+    assert flow._shared[2] is not memo and len(flow._shared[2]) == 1
 
 
 def test_shared_kernel_memo_stays_within_its_cap(empty_memo, monkeypatch):

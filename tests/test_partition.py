@@ -132,10 +132,13 @@ def test_margins_realizable_loose():
     assert not margins_realizable((3, 1), (0, 2, 2, 0))
     assert margins_realizable((), ()) and margins_realizable((0, 0), (0,))
     assert not margins_realizable((1,), ()) and not margins_realizable((), (1,))
-    # integral floats count as their ints; a fraction fails the promotion
+    # integral floats count as their ints
     assert margins_realizable((2.0, 1), (2, 1)) and not margins_realizable((2.0, 2), (3.0, 1))
-    with pytest.raises(ValueError):
-        margins_realizable((1.5, 0.5), (1, 1))
+    assert margins_realizable((2, 1), (2.0, 1.0))
+    # a fraction in either sequence raises, whatever the other tests say
+    for rows, cols in (((1.5, 0.5), (1, 1)), ((1, 1, 1), (1.5, 1.5)), ((2, 1), (1.5, 1.5))):
+        with pytest.raises(ValueError):
+            margins_realizable(rows, cols)
 
 
 def _gale_ryser(rows, cols):
