@@ -82,9 +82,7 @@ class BinaryMatrix:
         len(col_sums).  Only the constructor checks rows and margins
         first; the unchecked builders vouch for their own, and for the
         row bitmasks when they pass them.  rows may be None only when
-        row_bits is given: the rows are then built on first read.  Class
-        enumeration sets these slots in place for each member it yields,
-        so a new slot must be set there too."""
+        row_bits is given: the rows are then built on first read."""
         self._rows = rows
         self.m = len(row_sums)
         self.n = len(col_sums)

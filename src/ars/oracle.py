@@ -22,15 +22,16 @@ def enumerate_class(r: Partition, s: Partition) -> Iterator[BinaryMatrix]:
 
     Backtracks over the columns 0..n-3, choosing the rows of each column
     among those with remaining capacity, pruning branches whose residual
-    margins fail the Gale-Ryser test: from prefix sums of each depth's
-    remaining column sums, built once per walk, a node's test only
-    counts its rows by residual sum and compares prefixes, in O(m + n)
-    (`partition.rows_fit`; the weights always agree).  A column whose
-    rows have the largest residual sums (their total is the most any s_j
-    rows hold, so the least chosen sum is at least every unchosen one)
-    skips that test: by Ryser's lemma such a step keeps a realizable
-    residual realizable.  The open columns' combinations iterators sit
-    on an explicit stack, so no recursion limit bounds n.
+    margins fail the Gale-Ryser test: from one table of the prefix sums
+    of the column sums, built once per walk, a node of depth j only
+    counts its rows by residual sum and compares the prefixes of the
+    columns after j, in O(m + n) (`partition.rows_fit`; the weights
+    always agree).  A column whose rows have the largest residual sums
+    (their total is the most any s_j rows hold, so the least chosen sum
+    is at least every unchosen one) skips that test: by Ryser's lemma
+    such a step keeps a realizable residual realizable.  The open
+    columns' combinations iterators sit on an explicit stack, so no
+    recursion limit bounds n.
 
     The last two columns take a closed form.  Every step keeps the
     residual realizable, so after n-2 columns each row is short by at
@@ -49,15 +50,15 @@ def enumerate_class(r: Partition, s: Partition) -> Iterator[BinaryMatrix]:
     The walk keeps only the residual row sums and each row's column
     bitmask, updated as it chooses and undoes columns: at a node of depth
     n-2 each row's possible masks are found once, and each member picks
-    among them.  A member's slots are set in place from its masks alone;
-    it carries them in the ``_row_bits`` slot, from which the rank kernel
-    starts, and by which `ars.flow` lets members that are row
-    permutations of each other share one kernel; its row tuples are
-    built on the first read of ``rows`` (see `BinaryMatrix`), so a sweep
-    that only ranks members never builds them.  Nothing is checked, since
-    the search makes every entry 0/1 and the margins exactly (r, s).
-    Memory is O(n(m + n)) whatever the class size.  A caller that wants
-    only a prefix takes it with itertools.islice.
+    among them.  A member is built from its masks alone and carries them
+    in the ``_row_bits`` slot, from which the rank kernel starts, and by
+    which `ars.flow` lets members that are row permutations of each other
+    share one kernel; its row tuples are built on the first read of
+    ``rows`` (see `BinaryMatrix`), so a sweep that only ranks members
+    never builds them.  Nothing is checked, since the search makes every
+    entry 0/1 and the margins exactly (r, s).  Memory is O(mn) whatever
+    the class size.  A caller that wants only a prefix takes it with
+    itertools.islice.
     """
     m, n = len(r), len(s)
     if not is_nonempty(r, s):
@@ -73,8 +74,7 @@ def enumerate_class(r: Partition, s: Partition) -> Iterator[BinaryMatrix]:
     bits = [0] * m
     last = n - 2  # the first column of the closed form
     bit_a, bit_b = 1 << last, 1 << (n - 1)
-    # needs[j]: the prefix sums of the column sums after column j
-    needs = [tuple(itertools.accumulate(sp[j + 1:])) for j in range(last)]
+    acc = (0, *itertools.accumulate(sp))  # acc[k]: the sum of columns 0..k-1
     chosen: list[tuple[int, ...]] = []
     # stack[j] holds the row sets of column j and the largest residual
     # total of any s_j rows; chosen[j] is the current row set
@@ -102,10 +102,7 @@ def enumerate_class(r: Partition, s: Partition) -> Iterator[BinaryMatrix]:
                 for i in pick:
                     row_bits[i] = alt[i]
                 a = BinaryMatrix.__new__(BinaryMatrix)
-                a._rows = a._rank_state = None
-                a.m, a.n = m, n
-                a.row_sums, a.col_sums = rp, sp
-                a._row_bits = tuple(row_bits)
+                a._store(None, rp, sp, tuple(row_bits))
                 yield a
         # advance to the next choice that keeps the residual realizable
         while stack:
@@ -126,7 +123,7 @@ def enumerate_class(r: Partition, s: Partition) -> Iterator[BinaryMatrix]:
                 rr[i] -= 1
                 bits[i] |= 1 << j
             chosen.append(combo)
-            if greedy or rows_fit(rr, needs[j]):
+            if greedy or rows_fit(rr, acc, j + 1):
                 break
         else:
             return

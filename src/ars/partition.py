@@ -145,30 +145,32 @@ def margins_realizable(rows: Iterable[int], cols: Iterable[int]) -> bool:
     sums of the positive columns in decreasing order (`rows_fit`)."""
     rs = [v for v in exact_integers(tuple(rows), "row sums") if v > 0]
     cs = sorted((v for v in exact_integers(tuple(cols), "column sums") if v > 0), reverse=True)
-    return sum(rs) == sum(cs) and rows_fit(rs, tuple(accumulate(cs)))
+    return sum(rs) == sum(cs) and rows_fit(rs, (0, *accumulate(cs)), 0)
 
 
-def rows_fit(rows: Sequence[int], need: Sequence[int]) -> bool:
+def rows_fit(rows: Sequence[int], acc: Sequence[int], lo: int) -> bool:
     """The prefix half of the Gale-Ryser test, for nonnegative int rows
-    and need[k-1] = c_0 + ... + c_{k-1}, the prefix sums of columns c in
-    decreasing order: every row is at most len(need), and every prefix
-    fits, need[k-1] <= sum_i min(r_i, k).  That is the majorization of c
-    by the conjugate of the rows, whose entry k-1 counts the rows of sum
-    at least k, so one count of the rows by their sum gives every
-    prefix in O(m + n).  With equal weights it is realizability, which
-    `margins_realizable` checks and class enumeration keeps at every
-    node; the enumeration builds each depth's need once per walk."""
-    count = [0] * (len(need) + 1)  # count[k]: the rows of sum k
+    and the columns c_lo, c_lo+1, ... of a decreasing sequence c whose
+    prefix sums acc[k] = c_0 + ... + c_{k-1} (acc[0] = 0) are given:
+    every row is at most the number of those columns, and every prefix
+    fits, acc[lo+k] - acc[lo] <= sum_i min(r_i, k).  That is the
+    majorization of the columns by the conjugate of the rows, whose
+    entry k-1 counts the rows of sum at least k, so one count of the
+    rows by their sum gives every prefix in O(m + n).  With equal
+    weights it is realizability, which `margins_realizable` checks
+    (lo = 0) and class enumeration keeps at every node of depth j
+    (lo = j + 1, from one table of the column sums per walk)."""
+    count = [0] * (len(acc) - lo)  # count[k]: the rows of sum k
     try:
         for v in rows:
             count[v] += 1
     except IndexError:
         return False
     at_least = len(rows) - count[0]  # the rows of sum at least k, for the k below
-    have = 0
-    for k, c in enumerate(need, 1):
+    have = acc[lo]  # acc[lo] plus the room in the first k columns
+    for k, need in enumerate(acc[lo + 1:], 1):
         have += at_least
-        if c > have:
+        if need > have:
             return False
         at_least -= count[k]
     return True

@@ -88,9 +88,9 @@ def test_enumerate_skips_gale_ryser_on_greedy_columns(monkeypatch):
     calls = []
     fit = oracle.rows_fit
 
-    def counting(rows, need):
+    def counting(rows, acc, lo):
         calls.append(1)
-        return fit(rows, need)
+        return fit(rows, acc, lo)
 
     monkeypatch.setattr(oracle, "rows_fit", counting)
     n = 3000
@@ -107,18 +107,19 @@ def test_enumerate_skips_gale_ryser_on_greedy_columns(monkeypatch):
 @settings(max_examples=300)
 def test_per_depth_prune_matches_gale_ryser(data):
     """The walk's test at depth j, `rows_fit` against the prefix sums of
-    the column sums after column j, agrees with margins_realizable on
-    residuals of the weight of those columns, each unit of it in a random
-    row: realizable or not, with rows longer than the columns left and
-    rows too few for the largest column."""
+    all the column sums read from column j + 1, agrees with
+    margins_realizable on residuals of the weight of the columns after
+    j, each unit of it in a random row: realizable or not, with rows
+    longer than the columns left and rows too few for the largest
+    column."""
     m = data.draw(st.integers(1, 7))
     sp = sorted(data.draw(st.lists(st.integers(1, m), min_size=3, max_size=8)), reverse=True)
     j = data.draw(st.integers(0, len(sp) - 3))
     rr = [0] * m
     for _ in range(sum(sp[j + 1:])):
         rr[data.draw(st.integers(0, m - 1))] += 1
-    need = tuple(itertools.accumulate(sp[j + 1:]))
-    assert oracle.rows_fit(rr, need) == margins_realizable(rr, sp[j + 1:])
+    acc = (0, *itertools.accumulate(sp))
+    assert oracle.rows_fit(rr, acc, j + 1) == margins_realizable(rr, sp[j + 1:])
 
 
 def test_enumerated_members_match_the_constructor(small_classes):
@@ -306,6 +307,21 @@ def test_enumeration_memory_does_not_grow_with_members():
     finally:
         tracemalloc.stop()
     assert later <= first + 4096
+
+
+def test_wide_class_walk_memory_is_linear_in_columns():
+    """The walk's tables for n columns take O(n) memory, not one table of
+    the remaining column sums per depth, which is O(n^2) (about 150 MB
+    here)."""
+    n = 3000
+    for r, s in [((n,), (1,) * n), ((n, n // 2), (2,) * (n // 2) + (1,) * (n // 2))]:
+        tracemalloc.start()
+        try:
+            next(enumerate_class(Partition(r), Partition(s)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1000 * n, (len(r), peak)
 
 
 def test_final_rank_profile_runs_no_step(monkeypatch):
