@@ -4,6 +4,7 @@ covers."""
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import product
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, InvalidInterchange
@@ -13,24 +14,9 @@ from .partition import Partition, exact_integers
 _BIT = {0: 0, 1: 1}.__getitem__
 
 
-class _RowLists(dict):
-    """Maps mask | 1 << n to the entries of the length-n row with column
-    bitmask mask, as a list, worked out on the first lookup.  Its users
-    copy an entry (by tuple() for rows, by a slice for the JSON form),
-    so rows built from one entry never share an object.  At
-    _ROW_LISTS_CAP entries it empties before adding one."""
-
-    __slots__ = ()
-
-    def __missing__(self, key: int) -> list[int]:
-        if len(self) >= _ROW_LISTS_CAP:
-            self.clear()
-        row = self[key] = [key >> j & 1 for j in range(key.bit_length() - 1)]
-        return row
-
-
-_ROW_LISTS_CAP = 4096
-_ROW_LISTS = _RowLists()
+# entry b: the entries of columns 0..7 of a row whose column bitmask has
+# low byte b (bit j set iff column j holds a 1)
+_BYTE_ROWS = tuple(bits[::-1] for bits in product((0, 1), repeat=8))
 
 
 class BinaryMatrix:
@@ -48,11 +34,9 @@ class BinaryMatrix:
     knows the bits, such as class enumeration, and None otherwise; the
     rank kernel starts from it instead of reading the rows.  Such a
     builder may leave the rows unbuilt (``_rows`` None): the first read
-    of ``rows`` builds them from the bitmasks, each row a fresh tuple as
-    in the constructor's matrices (made from a shared `_RowLists` table),
-    and keeps them; the JSON form copies its row lists from that table
-    and leaves the rows unbuilt.  Every other builder stores its rows at
-    once.
+    of ``rows`` decodes them from the bitmasks, eight columns at a time
+    from the constant table `_BYTE_ROWS`, and keeps them.  Every other
+    builder stores its rows at once.
     ``_rank_state`` belongs to `ars.flow`: it holds the warm
     t-term-rank kernel of the matrix once the matrix is ranked (None
     before); enumerated members of one class that are row permutations
@@ -82,7 +66,8 @@ class BinaryMatrix:
         len(col_sums).  Only the constructor checks rows and margins
         first; the unchecked builders vouch for their own, and for the
         row bitmasks when they pass them.  rows may be None only when
-        row_bits is given: the rows are then built on first read."""
+        row_bits is given: the rows are then decoded from it on first
+        read."""
         self._rows = rows
         self.m = len(row_sums)
         self.n = len(col_sums)
@@ -95,8 +80,15 @@ class BinaryMatrix:
     def rows(self) -> tuple[tuple[int, ...], ...]:
         rows = self._rows
         if rows is None:
-            top, lists = 1 << self.n, _ROW_LISTS
-            rows = self._rows = tuple([tuple(lists[mask | top]) for mask in self._row_bits])
+            n = self.n
+            chunks = range(8, n, 8)
+            rows = []
+            for mask in self._row_bits:
+                row = _BYTE_ROWS[mask & 255][:n]
+                for k in chunks:
+                    row += _BYTE_ROWS[mask >> k & 255][:n - k]
+                rows.append(row)
+            rows = self._rows = tuple(rows)
         return rows
 
     @classmethod
@@ -164,13 +156,7 @@ class BinaryMatrix:
         return a
 
     def to_json_obj(self) -> dict:
-        # unbuilt rows are copied from the row-list table, and stay unbuilt
-        if self._rows is None:
-            top, lists = 1 << self.n, _ROW_LISTS
-            rows = [lists[mask | top][:] for mask in self._row_bits]
-        else:
-            rows = [list(row) for row in self._rows]
-        return {"m": self.m, "n": self.n, "rows": rows}
+        return {"m": self.m, "n": self.n, "rows": [list(row) for row in self.rows]}
 
     def ones(self) -> Iterator[tuple[int, int]]:
         """Positions (i, j) of the 1-entries, row-major."""

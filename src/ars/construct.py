@@ -31,7 +31,7 @@ from .errors import (
     VerificationFailed,
 )
 from .partition import Partition, exact_integers, is_nonempty
-from . import flow, structure
+from . import structure
 
 
 def _descending_order(seq: Sequence[int]) -> list[int]:
@@ -301,8 +301,11 @@ def construct_uniform_minimizer(r: Partition, s: Partition, t: int) -> BinaryMat
 
     Returns None when the conditions fail.  The built matrix is verified
     rank by rank; a mismatch raises VerificationFailed since it would
-    mean the construction itself is broken.
+    mean the construction itself is broken.  It alone imports the flow
+    layer, when called, so the other constructions load none of it.
     """
+    from . import flow
+
     hyp = structure.uniform_minimizer_hypotheses(r, s, t)
     if not hyp.holds:
         return None

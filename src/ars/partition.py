@@ -1,6 +1,6 @@
 """Partitions (nonincreasing positive integer vectors), conjugation by one
 walk (`conjugate_counts`), majorization, and the Gale-Ryser nonemptiness
-test."""
+test by one count of the rows (`rows_fit`)."""
 
 from __future__ import annotations
 
@@ -130,10 +130,10 @@ def majorized_by(s: Partition | Sequence[int], r: Partition | Sequence[int]) -> 
 def is_nonempty(r: Partition, s: Partition) -> bool:
     """Gale-Ryser test: the class of (0,1)-matrices with row sums r and
     column sums s is nonempty iff the weights agree and s is majorized by
-    the conjugate of r.  That conjugate is read cut at n = len(s), in
-    O(m + n): cut there it weighs sum_i min(R_i, n), so it loses weight
-    exactly when some row is longer than n, and the totals then fail."""
-    return r.weight == s.weight and majorized_by(s, conjugate_counts(r, len(s) - 1))
+    the conjugate of r, which `rows_fit` decides from the prefix sums of
+    s in O(m + n), whatever the weight: a row longer than n = len(s)
+    fails at once."""
+    return r.weight == s.weight and rows_fit(r.parts, (0, *accumulate(s.parts)), 0)
 
 
 def margins_realizable(rows: Iterable[int], cols: Iterable[int]) -> bool:
@@ -157,9 +157,10 @@ def rows_fit(rows: Sequence[int], acc: Sequence[int], lo: int) -> bool:
     majorization of the columns by the conjugate of the rows, whose
     entry k-1 counts the rows of sum at least k, so one count of the
     rows by their sum gives every prefix in O(m + n).  With equal
-    weights it is realizability, which `margins_realizable` checks
-    (lo = 0) and class enumeration keeps at every node of depth j
-    (lo = j + 1, from one table of the column sums per walk)."""
+    weights it is realizability, which `is_nonempty` and
+    `margins_realizable` check (lo = 0) and class enumeration keeps at
+    every node of depth j (lo = j + 1, from one table of the column sums
+    per walk)."""
     count = [0] * (len(acc) - lo)  # count[k]: the rows of sum k
     try:
         for v in rows:

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import random
 from itertools import combinations, islice
 
 import pytest
@@ -17,7 +18,6 @@ from ars import (
     min_cover_value,
     t_term_ranks,
 )
-from ars import binmat
 from ars.errors import InvalidInterchange
 from ars.oracle import min_cover_values
 
@@ -141,18 +141,42 @@ def test_unread_rows_leave_the_value_unchanged():
                 assert len({id(row) for row in a.rows}) == a.m
 
 
-def test_row_lists_stay_bounded_and_keep_widths_apart(monkeypatch):
-    """Rows built on first read take their entries from a shared table of
-    lists keyed by mask and width; the table empties at its cap, and a
-    mask read at two widths keeps two entries."""
-    monkeypatch.setattr(binmat, "_ROW_LISTS_CAP", 5)
-    binmat._ROW_LISTS.clear()
-    for r, s in [((3, 2, 2, 1), (3, 3, 2)), ((1, 1), (1, 1)), ((1, 1, 1), (3,)), ((4, 2), (1,) * 6)]:
-        for a in enumerate_class(Partition(r), Partition(s)):
-            assert a.rows == spelled(a).rows, (r, s)
-            assert len({id(row) for row in a.rows}) == a.m
-            assert len(binmat._ROW_LISTS) <= 5
-    binmat._ROW_LISTS.clear()
+def mask_born(bits, n):
+    """The matrix of the row bitmasks bits at width n, built as class
+    enumeration builds its members: from the bitmasks alone, its rows
+    unbuilt."""
+    a = BinaryMatrix.__new__(BinaryMatrix)
+    col_sums = tuple(sum(mask >> j & 1 for mask in bits) for j in range(n))
+    a._store(None, tuple(mask.bit_count() for mask in bits), col_sums, tuple(bits))
+    return a
+
+
+def test_wide_unread_rows_match_the_constructor():
+    """Unbuilt rows are decoded eight columns at a time.  At every width
+    up to 40, at 64 and 65, and for enumerated members 9, 16 and 17
+    columns wide, each value behaviour equals that of the constructor's
+    matrix of the same rows, each taken from a fresh unread matrix."""
+    rng = random.Random(8)
+    makers = []
+    for n in (*range(41), 64, 65):
+        full = (1 << n) - 1
+        bits = (0, full, full & int("01" * 33, 2), 1 << n >> 1, 1 & full)
+        bits += tuple(rng.getrandbits(n) for _ in range(3))
+        makers.append(lambda bits=bits, n=n: mask_born(bits, n))
+    for r, s in [((9,), (1,) * 9), ((8, 8), (2,) * 8), ((17,), (1,) * 17)]:
+        makers.append(lambda r=r, s=s: next(enumerate_class(Partition(r), Partition(s))))
+    views = (
+        lambda x: x.rows,
+        lambda x: x.to_json_obj(),
+        lambda x: x.to_text(),
+        hash,
+        lambda x: x == plain and plain == x,
+    )
+    for make in makers:
+        plain = spelled(make())
+        for view in views:
+            a = make()
+            assert a._rows is None and view(a) == view(plain), (a.n, a._row_bits)
 
 
 def test_cached_margins():

@@ -37,7 +37,7 @@ sys.stderr.write(json.dumps([code, sorted(set(sys.modules) - before)]))
 BASE = {"ars", "ars.cli", "ars.errors", "ars.partition"}
 TABLES = BASE | {"ars.structure"}
 
-CONSTRUCT = BASE | {"ars.binmat", "ars.construct", "ars.flow", "ars.structure"}
+CONSTRUCT = BASE | {"ars.binmat", "ars.construct", "ars.structure"}
 
 # the seven commands of the cli_calls benchmark workload, a rank call
 # small enough for the brute-force cross-check, and the other commands
