@@ -13,11 +13,16 @@ ties.  By Ryser's lemma that rule fills any realizable margins, so the
 shift itself raises InfeasibleShift on unrealizable ones and the
 residual core needs no Gale-Ryser test.  Every matrix is assembled from the shift's column
 row-lists, with margins known by construction.  The normal form of an
-interchange path is the shift of the shared margins, made once."""
+interchange path is the shift of the shared margins.  Only the most
+recent margins' shift is kept, as `structure` keeps one class's tables:
+its column row-lists, then their bit masks and the canonical matrix,
+each built on first use; another class replaces it.  `ryser_canonical`
+returns the kept matrix, and a path leg from it is empty."""
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import cached_property
 from itertools import compress
 from typing import NamedTuple
 
@@ -87,14 +92,43 @@ def canonical_column_submatrix(
     return block, block.row_sums
 
 
+class _Shift:
+    """The canonical column shift of one class's margins."""
+
+    def __init__(self, row_sums: tuple[int, ...], col_sums: tuple[int, ...]):
+        self.margins = row_sums, col_sums
+        self.cols = _shift_columns(row_sums, col_sums, len(row_sums), 0)[0]
+        self.matrix: BinaryMatrix | None = None
+
+    @cached_property
+    def masks(self) -> list[int]:
+        powers = [1 << i for i in range(len(self.margins[0]))]
+        return [sum(map(powers.__getitem__, col)) for col in self.cols]
+
+
+# the shift of the most recent margins, which a new class replaces
+_kept: _Shift | None = None
+
+
+def _kept_shift(row_sums: tuple[int, ...], col_sums: tuple[int, ...]) -> _Shift:
+    global _kept
+    # tuple equality tests each item by identity first, then by value
+    if _kept is None or _kept.margins != (row_sums, col_sums):
+        _kept = _Shift(row_sums, col_sums)
+    return _kept
+
+
 def ryser_canonical(r: Partition, s: Partition) -> BinaryMatrix:
     """The canonical matrix of the class: start from left-justified rows
     and shift each column's ones into place, rightmost column first,
-    always drawing from the rows of largest remaining sum."""
+    always drawing from the rows of largest remaining sum.  It is kept
+    with the shift until another class is asked about."""
     if not is_nonempty(r, s):
         raise EmptyClass(f"no matrix has row sums {r.parts} and column sums {s.parts}")
-    cols, _ = _shift_columns(r.parts, s.parts, len(r), 0)
-    return BinaryMatrix.from_column_sets(cols, r.parts, s.parts)
+    shift = _kept_shift(r.parts, s.parts)
+    if shift.matrix is None:
+        shift.matrix = BinaryMatrix.from_column_sets(shift.cols, r.parts, s.parts)
+    return shift.matrix
 
 
 def _residual_core(
@@ -246,13 +280,15 @@ def two_cover_matrix(
 Interchange = tuple[int, int, int, int]
 
 
-def _reduce_to_normal(
-    a: BinaryMatrix, normal: list[list[int]], masks: list[int]
-) -> list[Interchange]:
+def _reduce_to_normal(a: BinaryMatrix, shift: _Shift) -> list[Interchange]:
     """Interchange a into the normal form whose column k holds the rows
-    normal[k] (bit mask masks[k]), rightmost column first: each wanted
-    row without a 1 in column k, in pick order, takes the 1 of the
-    topmost unwanted row that has one.  A column in place costs O(1)."""
+    shift.cols[k] (bit mask shift.masks[k]), rightmost column first: each
+    wanted row without a 1 in column k, in pick order, takes the 1 of the
+    topmost unwanted row that has one.  A column in place costs O(1), and
+    the shift's own canonical matrix costs nothing."""
+    if a is shift.matrix:
+        return []
+    normal, masks = shift.cols, shift.masks
     powers = [1 << i for i in range(max(a.m, a.n))]
     rows = [sum(compress(powers, row)) for row in a.rows]
     cols = [sum(compress(powers, col)) for col in zip(*a.rows)]
@@ -285,14 +321,13 @@ def _reduce_to_normal(
 def interchange_path(a: BinaryMatrix, b: BinaryMatrix) -> tuple[Interchange, ...]:
     """A sequence of interchanges (i1, i2, j1, j2) carrying a onto b,
     found by reducing both to the normal form of their shared margins,
-    the canonical column shift, and splicing the second leg in reverse."""
+    the canonical column shift, and splicing the second leg in reverse.
+    The shift of the most recent margins is kept, and an endpoint that is
+    its canonical matrix (see ryser_canonical) has an empty leg."""
     if (a.m, a.n) != (b.m, b.n) or a.row_sums != b.row_sums or a.col_sums != b.col_sums:
         raise NotSameClass("matrices differ in shape or margins")
-    normal, _ = _shift_columns(a.row_sums, a.col_sums, a.m, 0)
-    powers = [1 << i for i in range(a.m)]
-    masks = [sum(map(powers.__getitem__, col)) for col in normal]
-    path_b = _reduce_to_normal(b, normal, masks)
-    return tuple(_reduce_to_normal(a, normal, masks)) + tuple(reversed(path_b))
+    shift = _kept_shift(a.row_sums, a.col_sums)
+    return tuple(_reduce_to_normal(a, shift)) + tuple(reversed(_reduce_to_normal(b, shift)))
 
 
 def construct_uniform_minimizer(r: Partition, s: Partition, t: int) -> BinaryMatrix | None:

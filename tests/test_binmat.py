@@ -123,7 +123,8 @@ def test_unread_rows_leave_the_value_unchanged():
         lambda x, y: x == y and y == x,
         lambda x, y: hash(x) == hash(y),
         lambda x, y: repr(x) == repr(y),
-        lambda x, y: pickle.dumps(x) == pickle.dumps(y),
+        # by value: pickle's bytes show whether two equal rows are one object
+        lambda x, y: pickle.loads(pickle.dumps(x)) == y,
         lambda x, y: x.to_json_obj() == y.to_json_obj(),
         lambda x, y: x.to_text() == y.to_text(),
     )
@@ -132,13 +133,13 @@ def test_unread_rows_leave_the_value_unchanged():
         ((3, 2, 2, 1), (3, 3, 2)),
         ((1, 1, 1), (3,)),
         ((4, 2), (1,) * 6),
+        ((8, 8), (2,) * 8),
     ]:
         for same in views:
             for a in enumerate_class(Partition(r), Partition(s)):
                 plain = spelled(a)
                 assert a._rows is None and same(a, plain), (r, s)
                 assert a.rows == plain.rows and a._rows is a.rows
-                assert len({id(row) for row in a.rows}) == a.m
 
 
 def mask_born(bits, n):

@@ -389,11 +389,64 @@ def test_interchange_path_rejects_different_margins():
 def test_interchange_path_different_normal_forms_is_an_internal_fault(monkeypatch):
     # each leg must end on the canonical shift of the shared margins; a
     # normal form that interchanges cannot reach means a bug, so a shift
-    # that put both ones of the identity in column 0 must be caught
+    # that put both ones of the identity in column 0 must be caught; the
+    # kept shift is dropped first, so the patched shift is the one read
     a = BinaryMatrix([[1, 0], [0, 1]])
+    monkeypatch.setattr(ars.construct, "_kept", None)
     monkeypatch.setattr(ars.construct, "_shift_columns", lambda *args: ([[0, 1], []], [1, 1]))
     with pytest.raises(VerificationFailed, match="different normal forms"):
         interchange_path(a, a)
+
+
+def _moved_unit(parts):
+    """parts with one unit moved from its first largest to its last
+    smallest part: still nonincreasing, and majorized by parts."""
+    p = list(parts)
+    assert p[0] - p[-1] >= 2
+    p[p.index(p[0]) + p.count(p[0]) - 1] -= 1
+    p[p.index(p[-1])] += 1
+    return Partition(p)
+
+
+def test_kept_shift_answers_as_a_fresh_one(monkeypatch):
+    """ryser_canonical and interchange_path to, from and between copies of
+    the canonical matrix, over the classes A, B, A, C, A: B has A's row
+    sums, C has A's column sums.  The partitions are the same objects,
+    equal copies, or equal copies with endpoints from the checked
+    constructor; in each case every answer equals the one computed from
+    an emptied kept record, and every path replays."""
+    r, s = _profile_class(random.Random(20261020), 12, 12)
+    classes = {"A": (r, s), "B": (r, _moved_unit(s.parts)), "C": (_moved_unit(r.parts), s)}
+
+    def ends(r, s, canonical, checked):
+        x = modified_ryser(r, s, *min_t_term_rank(r, s, 1)[1])
+        if checked:
+            x = BinaryMatrix(x.rows)
+        return [(x, canonical), (canonical, x), (x, BinaryMatrix(canonical.rows))]
+
+    def fresh(f, *args):
+        monkeypatch.setattr(ars.construct, "_kept", None)
+        return f(*args)
+
+    expected = {}
+    for name, (r, s) in classes.items():
+        canonical = fresh(ryser_canonical, r, s)
+        paths = [fresh(interchange_path, a, b) for a, b in ends(r, s, canonical, False)]
+        expected[name] = canonical, paths
+    for mode in ("same", "copies", "checked"):
+        monkeypatch.setattr(ars.construct, "_kept", None)
+        for name in "ABACA":
+            r, s = classes[name]
+            if mode != "same":
+                r, s = Partition(r.parts), Partition(s.parts)
+            canonical = ryser_canonical(r, s)
+            assert canonical == expected[name][0], (mode, name)
+            for (a, b), want in zip(ends(r, s, canonical, mode == "checked"), expected[name][1]):
+                path = interchange_path(a, b)
+                assert path == want, (mode, name)
+                for step in path:
+                    a = apply_interchange(a, *step)
+                assert a == b
 
 
 def test_interchange_path_replay(small_classes):
