@@ -15,14 +15,13 @@ residual core needs no Gale-Ryser test.  Every matrix is assembled from the shif
 row-lists, with margins known by construction.  The normal form of an
 interchange path is the shift of the shared margins.  Only the most
 recent margins' shift is kept, as `structure` keeps one class's tables:
-its column row-lists, then their bit masks and the canonical matrix,
-each built on first use; another class replaces it.  `ryser_canonical`
-returns the kept matrix, and a path leg from it is empty."""
+its column row-lists, their bit masks and the canonical matrix, built
+together; another class replaces it.  `ryser_canonical` returns the
+kept matrix, and a path leg from it is empty."""
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import cached_property
 from itertools import compress
 from typing import NamedTuple
 
@@ -98,24 +97,21 @@ class _Shift:
     def __init__(self, row_sums: tuple[int, ...], col_sums: tuple[int, ...]):
         self.margins = row_sums, col_sums
         self.cols = _shift_columns(row_sums, col_sums, len(row_sums), 0)[0]
-        self.matrix: BinaryMatrix | None = None
-
-    @cached_property
-    def masks(self) -> list[int]:
-        powers = [1 << i for i in range(len(self.margins[0]))]
-        return [sum(map(powers.__getitem__, col)) for col in self.cols]
+        powers = [1 << i for i in range(len(row_sums))]
+        self.masks = [sum(map(powers.__getitem__, col)) for col in self.cols]
+        self.matrix = BinaryMatrix.from_column_sets(self.cols, row_sums, col_sums)
 
 
-# the shift of the most recent margins, which a new class replaces
 _kept: _Shift | None = None
 
 
 def _kept_shift(row_sums: tuple[int, ...], col_sums: tuple[int, ...]) -> _Shift:
     global _kept
+    kept = _kept  # one read: a check and its answer belong to one record
     # tuple equality tests each item by identity first, then by value
-    if _kept is None or _kept.margins != (row_sums, col_sums):
-        _kept = _Shift(row_sums, col_sums)
-    return _kept
+    if kept is None or kept.margins != (row_sums, col_sums):
+        kept = _kept = _Shift(row_sums, col_sums)
+    return kept
 
 
 def ryser_canonical(r: Partition, s: Partition) -> BinaryMatrix:
@@ -125,10 +121,7 @@ def ryser_canonical(r: Partition, s: Partition) -> BinaryMatrix:
     with the shift until another class is asked about."""
     if not is_nonempty(r, s):
         raise EmptyClass(f"no matrix has row sums {r.parts} and column sums {s.parts}")
-    shift = _kept_shift(r.parts, s.parts)
-    if shift.matrix is None:
-        shift.matrix = BinaryMatrix.from_column_sets(shift.cols, r.parts, s.parts)
-    return shift.matrix
+    return _kept_shift(r.parts, s.parts).matrix
 
 
 def _residual_core(
