@@ -176,8 +176,9 @@ class BinaryMatrix:
         return hash((self.m, self.n, self.rows))
 
     def __reduce__(self):
-        # rebuild from the rows alone, without the rank kernel state
-        return BinaryMatrix, (self.rows,)
+        # rebuild from the rows alone, without the rank kernel state; fresh row
+        # tuples, as the constructor's, so equal rows sharing one tuple pickle alike
+        return BinaryMatrix, (tuple((*row,) for row in self.rows),)
 
     def __repr__(self) -> str:
         return f"BinaryMatrix({list(map(list, self.rows))})"

@@ -34,7 +34,8 @@ a kernel of their own.
 `FlowNetwork` is the one transportation network over unit cells
 (Edmonds-Karp): it serves `feasible_bounded`, and through
 `build_t_rank_network` it is the independent oracle the rank kernel is
-tested against.
+tested against.  Its searches stop once the sink is labelled: a label
+is set only on first reach, so the augmenting path is fixed by then.
 """
 
 from __future__ import annotations
@@ -58,8 +59,10 @@ class FlowNetwork:
     (i, j) in the order of cells, then column j->sink with capacity
     col_caps[j].  Augmentation uses breadth-first (shortest) augmenting
     paths over the residual graph, scanning edges in insertion order, so
-    runs are deterministic.  Every augmenting path crosses a unit cell
-    edge, so each augmentation moves one unit.
+    runs are deterministic.  A search stops once the sink is labelled;
+    labels are never overwritten, so the path, and every flow and
+    witness, is that of a search run to the end.  Every augmenting path
+    crosses a unit cell edge, so each augmentation moves one unit.
     """
 
     def __init__(
@@ -69,9 +72,8 @@ class FlowNetwork:
         self.num_nodes = m + n + 2
         self.source = 0
         self.sink = 1 + m + n
-        self._frm: list[int] = []
-        self._to: list[int] = []
-        self._res: list[int] = []  # residual capacity; edge eid ^ 1 is the twin of eid
+        self._to: list[int] = []  # heads; the twin eid ^ 1 of eid has eid's tail as head
+        self._res: list[int] = []  # residual capacity
         self._adj: list[list[int]] = [[] for _ in range(self.num_nodes)]
         edges = [(self.source, 1 + i, cap) for i, cap in enumerate(row_caps)]
         edges += [(1 + i, 1 + m + j, 1) for i, j in cells]
@@ -79,7 +81,6 @@ class FlowNetwork:
         for u, v, cap in edges:
             self._adj[u].append(len(self._to))
             self._adj[v].append(len(self._to) + 1)
-            self._frm += (u, v)
             self._to += (v, u)
             self._res += (cap, 0)
 
@@ -89,7 +90,7 @@ class FlowNetwork:
         so the flow is the twin's residual and the capacity the sum."""
         for eid in range(0, len(self._to), 2):
             flow = self._res[eid + 1]
-            yield self._frm[eid], self._to[eid], self._res[eid] + flow, flow
+            yield self._to[eid + 1], self._to[eid], self._res[eid] + flow, flow
 
     def max_flow(self) -> int:
         """Augment until no path is left; returns the units moved."""
@@ -98,11 +99,8 @@ class FlowNetwork:
             parent_edge = [-1] * self.num_nodes
             parent_edge[self.source] = -2
             queue = deque([self.source])
-            while queue:
-                u = queue.popleft()
-                if u == self.sink:
-                    break
-                for eid in self._adj[u]:
+            while queue and parent_edge[self.sink] == -1:
+                for eid in self._adj[queue.popleft()]:
                     v = self._to[eid]
                     if self._res[eid] > 0 and parent_edge[v] == -1:
                         parent_edge[v] = eid
@@ -114,7 +112,7 @@ class FlowNetwork:
                 eid = parent_edge[v]
                 self._res[eid] -= 1
                 self._res[eid ^ 1] += 1
-                v = self._frm[eid]
+                v = self._to[eid ^ 1]
             total += 1
 
 

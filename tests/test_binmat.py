@@ -138,11 +138,6 @@ def test_unread_rows_leave_the_value_unchanged():
         ((8, 8), (2,) * 8),
     ]:
         for same in views:
-            # held out: at width 8 a member's equal decoded rows are one
-            # tuple, which pickle memoizes, so its bytes differ from the
-            # constructor's (a known fault of binmat, see CHANGES.md)
-            if same is by_bytes and len(s) == 8:
-                continue
             for a in enumerate_class(Partition(r), Partition(s)):
                 plain = spelled(a)
                 assert a._rows is None and same(a, plain), (r, s)

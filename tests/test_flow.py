@@ -21,6 +21,7 @@ from ars import (
 )
 from ars.binmat import CoverSpec
 from ars.errors import DimensionMismatch
+from ars.flow import FlowNetwork
 from ars.oracle import brute_t_term_rank, brute_t_term_ranks, min_cover_values
 
 from helpers import matrices
@@ -342,6 +343,57 @@ def test_bounded_witnesses_are_pinned():
     # both query kinds see feasible and infeasible cases
     assert all(any(kind) and not all(kind) for kind in outcomes)
     assert digest.hexdigest() == "1975552dd29aa34e0952a1a16b5b9cfa90d93edd66fb31686a49d8d7af7946f0"
+
+
+def test_prefix_covers_at_benchmark_sizes_match_scipy():
+    """Prefix-cover queries drawn as the matrix_flow benchmark draws
+    them: the sorted margins of a random 40x40 to 80x80 grid of weight
+    near 200 with no empty line, the cover (e, f) with e half the rows
+    and f on either side of a necessary bound.  On the query's network,
+    whose row and column capacities exceed 1, `FlowNetwork` moves what
+    scipy's max flow moves on the same network built afresh, the verdict
+    is whether that is the full weight, each witness lies in its class
+    and inside its cover, and the witnesses hash to a fixed digest."""
+    np = pytest.importorskip("numpy")
+    sparse = pytest.importorskip("scipy.sparse")
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    rng = random.Random(20261020)
+    digest = hashlib.sha256()
+    verdicts = []
+    for q in range(20):
+        m, n = ((40, 40), (45, 50), (55, 55), (70, 70), (80, 80))[q % 5]
+        grid = [[int(rng.random() < 200 / (m * n)) for _ in range(n)] for _ in range(m)]
+        for row in grid:
+            if not any(row):
+                row[rng.randrange(n)] = 1
+        for j in range(n):
+            if not any(row[j] for row in grid):
+                grid[rng.randrange(m)][j] = 1
+        r, s = Partition.from_loose(map(sum, grid)), Partition.from_loose(map(sum, zip(*grid)))
+        # least f at which the rows from e on fit in the first f columns
+        # and no column from f on holds more than e
+        e, f, room = m // 2, 0, 0
+        while f < n and (room < sum(r.parts[e:]) or s.parts[f] > e):
+            room += min(s.parts[f], m - e)
+            f += 1
+        f = max(0, f - 1 - rng.randint(0, 1)) if q // 5 % 2 else min(n, f + rng.randint(0, 2))
+        got = multi_cover_feasible(r, s, [(e, f)])
+        # source 0, rows 1..m, columns m+1..m+n, sink
+        cells = [(i, j) for i in range(m) for j in range(n) if i < e or j < f]
+        sink = 1 + m + n
+        u = [0] * m + [1 + i for i, _ in cells] + [1 + m + j for j in range(n)]
+        v = [*range(1, m + 1), *(1 + m + j for _, j in cells), *[sink] * n]
+        cap = np.array([*r.parts, *[1] * len(cells), *s.parts], dtype=np.int32)
+        graph = sparse.csr_matrix((cap, (u, v)), shape=(sink + 1, sink + 1))
+        value = csgraph.maximum_flow(graph, 0, sink, method="dinic").flow_value
+        assert FlowNetwork(r.parts, s.parts, cells).max_flow() == value, q
+        assert (got is not None) == (value == r.weight), q
+        if got is not None:
+            assert in_class(got, r, s) and is_covered(got, CoverSpec.prefix(e, f)), q
+        verdicts.append(got is not None)
+        digest.update(repr(None if got is None else got.rows).encode())
+    assert any(verdicts) and not all(verdicts)
+    assert digest.hexdigest() == "68e49792158cccbfb5c0d5d0e655090007b9561c5db0a168324a1cd41d15fb6f"
 
 
 def test_multi_cover_worked_instance():
