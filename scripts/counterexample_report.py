@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
 """Print the full reference-class report: margins, both tables, the six
 minimum t-term ranks with every witness, and the prefix-cover
-infeasibility search backing the no-uniform-minimizer claim."""
+infeasibility search backing the no-uniform-minimizer claim.  Each
+combination of witness covers is decided in closed form by a Hall check
+over the staircase mask it leaves (`structure.prefix_covers_feasible`),
+with no flow computation."""
 
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ def main() -> int:
         alts = " ".join(f"{t}*{e}+{f}" for e, f in sets[t])
         print(f"  t={t}: {value}  (witness {witness}; factorizations: {alts})")
 
-    print("\nprefix-cover combinations (one witness per t):")
+    print("\nprefix-cover combinations (one witness per t; Hall check over the staircase mask):")
     all_absent = True
     for covers, feasible in counterexample.witness_combinations():
         all_absent &= not feasible

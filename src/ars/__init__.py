@@ -56,7 +56,7 @@ _EXPORTS = {
         "uniform_minimizer_hypotheses",
     ),
 }
-_SUBMODULES = frozenset(_EXPORTS) | {"cli", "counterexample", "errors"}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "cli_text", "counterexample", "errors"}
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted(_OWNER)

@@ -12,6 +12,9 @@ from .partition import Partition, exact_integers
 
 # maps each entry equal to 0 or 1 (False, True, 1.0, ...) to that int
 _BIT = {0: 0, 1: 1}.__getitem__
+# maps each text entry, exactly "0" or "1", to its int; int() would also
+# take "+1", "01" and other Unicode digits
+_TEXT_BIT = {"0": 0, "1": 1}.__getitem__
 
 
 # entry b: the entries of columns 0..7 of a row whose column bitmask has
@@ -132,12 +135,12 @@ class BinaryMatrix:
             body = [""] * m  # the empty rows of an m-by-0 matrix are blank lines
         if len(body) != m:
             raise ValueError(f"expected {m} rows, got {len(body)}")
-        rows = []
-        for ln in body:
-            vals = [int(v) for v in ln.split()]
-            if len(vals) != n:
-                raise ValueError(f"expected {n} entries per row")
-            rows.append(vals)
+        try:
+            rows = [[*map(_TEXT_BIT, ln.split())] for ln in body]
+        except KeyError as exc:
+            raise ValueError(f"entries must be 0 or 1, got {exc.args[0]!r}") from None
+        if any(len(row) != n for row in rows):
+            raise ValueError(f"expected {n} entries per row")
         a = cls(rows)
         if a.m != m or a.n != n:
             raise ValueError("declared dimensions disagree with rows")

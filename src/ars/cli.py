@@ -31,76 +31,8 @@ class CommandResult(NamedTuple):
         return json.dumps({"status": self.status, "payload": self.payload}, sort_keys=True)
 
     def render_text(self) -> str:
-        p = self.payload
-        kind = p.get("kind") if isinstance(p, dict) else None
-        if kind == "message":
-            return f"{self.status}: {p['message']}"
-        render = _TEXT.get(kind)
-        return render(p) if render else json.dumps(p, sort_keys=True)
-
-
-# the text rendering of each payload kind but "message"
-
-
-def _verdict_text(p: dict) -> str:
-    lines = ["nonempty" if p["nonempty"] else "empty class",
-             f"  gale-ryser majorization: {p['gale_ryser']}"]
-    if p["structure_nonnegative"] is not None:
-        lines.append(f"  structure matrix nonnegative: {p['structure_nonnegative']}")
-    if not p["weights_equal"]:
-        lines.append("  (weights differ; structure criterion not applicable)")
-    return "\n".join(lines)
-
-
-def _matrices_text(p: dict) -> str:
-    lines = [f"{_matrix_text(obj)}\n" for obj in p.get("matrices", [])]
-    lines.append(f"count {p['count']}")
-    if p["truncated"]:
-        lines.append("# stopped at budget; enumeration incomplete")
-    return "\n".join(lines)
-
-
-def _search_text(p: dict) -> str:
-    if p["matrix"] is not None:
-        found = _matrix_text(p["matrix"])
-    elif p["complete"]:
-        found = "absent: no class member realizes every minimum"
-    else:
-        found = "undetermined by enumeration (budget exhausted)"
-    return f"{found}\n# scanned {p['scanned']} matrices"
-
-
-def _report_text(p: dict) -> str:
-    lines = [f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}: {c['detail']}"
-             for c in p["checks"]]
-    lines.append("all checks passed" if p["all_passed"] else "SOME CHECKS FAILED")
-    return "\n".join(lines)
-
-
-_TEXT = {
-    "verdict": _verdict_text,
-    "matrix": lambda p: "\n".join([_matrix_text(p["matrix"])]
-                                  + [f"# {note}" for note in p.get("notes", [])]),
-    "table": lambda p: _table_text(p["table"]),
-    "value": lambda p: str(p["value"]),
-    "min_rank": lambda p: f"{p['value']} (witness e={p['witness']['e']}, f={p['witness']['f']})",
-    "rank": lambda p: f"{p['value']}{' (cross-checked)' if p['cross_checked'] else ''}",
-    "matrices": _matrices_text,
-    "search": _search_text,
-    "report": _report_text,
-}
-
-
-def _matrix_text(obj: dict) -> str:
-    from .binmat import BinaryMatrix
-    return BinaryMatrix.from_json_obj(obj).to_text()
-
-
-def _table_text(obj: dict) -> str:
-    from .structure import StructureTable
-    return StructureTable(
-        values=tuple(tuple(row) for row in obj["values"]), kind=obj["kind"]
-    ).render()
+        from .cli_text import render
+        return render(self.status, self.payload)
 
 
 def _parse_partition(text: str, flag: str) -> Partition:
@@ -170,7 +102,7 @@ def _cmd_canonical(args, r: Partition, s: Partition) -> CommandResult:
 
 def _cmd_table(args, r: Partition, s: Partition) -> CommandResult:
     from . import structure
-    builder = structure.phi_matrix if args.which == "phi" else structure.structure_matrix
+    builder = structure.phi_matrix if args.command == "phi" else structure.structure_matrix
     table = builder(r, s)
     return CommandResult("ok", {"kind": "table", "table": table.to_json_obj()})
 
@@ -281,90 +213,96 @@ def _cmd_verify_counterexample(args) -> CommandResult:
     return CommandResult("ok" if payload["all_passed"] else "error", payload)
 
 
-def _add_pair_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("-r", dest="row_sums", required=True,
-                        help="row sums, comma-separated, e.g. 4,2,2,2,1,1,1")
-    parser.add_argument("-s", dest="col_sums", required=True,
-                        help="column sums, comma-separated")
+_PAIR = (
+    ("-r", {"dest": "row_sums", "required": True,
+            "help": "row sums, comma-separated, e.g. 4,2,2,2,1,1,1"}),
+    ("-s", {"dest": "col_sums", "required": True, "help": "column sums, comma-separated"}),
+)
+_INT = {"type": int, "required": True}
+_BUDGET = ("--budget", {"type": int, "default": DEFAULT_BUDGET,
+                        "help": f"matrix cap (default {DEFAULT_BUDGET})"})
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def _commands() -> dict:
+    """name -> (help line, handler, arguments as (flag, keywords) pairs).
+    Built per call, so each handler is looked up when the call runs."""
+    return {
+        "nonempty": ("Gale-Ryser test with structure-matrix cross-check", _cmd_nonempty, _PAIR),
+        "canonical": ("canonical matrix of the class", _cmd_canonical, _PAIR),
+        "structure": ("print the structure matrix", _cmd_table, _PAIR),
+        "phi": ("print the phi (cover certificate) table", _cmd_table, _PAIR),
+        "psi": (
+            "two-cover quantity psi_{a,b;c,d}",
+            _cmd_psi,
+            _PAIR + tuple((f"-{flag}", {**_INT, "dest": flag}) for flag in "abcd"),
+        ),
+        "min-rank": ("minimum t-term rank over the class", _cmd_min_rank, _PAIR + (("-t", _INT),)),
+        "rank": (
+            "t-term rank of one matrix (flow computation)",
+            _cmd_rank,
+            (("-t", _INT), ("--matrix", {"required": True, "help": "matrix file, or - for stdin"})),
+        ),
+        "construct-cover": (
+            "class member covered by e rows + f columns",
+            _cmd_construct_cover,
+            _PAIR + (("-e", _INT), ("-f", _INT)),
+        ),
+        "construct-two-cover": (
+            "class member carrying two prefix covers at once",
+            _cmd_construct_two_cover,
+            _PAIR + (("--cover", {"action": "append", "required": True, "metavar": "E,F",
+                                  "help": "give exactly twice, e.g. --cover 2,4 --cover 3,3"}),),
+        ),
+        "enumerate": (
+            "list every class member (budgeted)",
+            _cmd_enumerate,
+            _PAIR + (_BUDGET,
+                     ("--count", {"action": "store_true", "help": "print only the count"})),
+        ),
+        "uniform-min": (
+            "search for a matrix realizing every minimum rank",
+            _cmd_uniform_min,
+            _PAIR + (("--tmax", {"type": int, "default": None,
+                                 "help": "check ranks 1..TMAX (default: largest row sum)"}),
+                     _BUDGET),
+        ),
+        "verify-counterexample": (
+            "recompute the reference class facts and the cover infeasibility search",
+            _cmd_verify_counterexample,
+            (),
+        ),
+    }
+
+
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """The parsed call, with `json`, `command` and its `handler` set.
+
+    A first parser reads --json and the command name and keeps the rest
+    of argv unparsed, so only that command's parser is built.  A usage
+    mistake exits 2 through argparse."""
+    commands = _commands()
+    top = argparse.ArgumentParser(
         prog="ars",
         description="Analyze and construct (0,1)-matrices with prescribed "
         "row and column sums.",
+        epilog="commands:\n" + "\n".join(
+            f"  {name:<22}{entry[0]}" for name, entry in commands.items()
+        ),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("nonempty", help="Gale-Ryser test with structure-matrix cross-check")
-    _add_pair_args(p)
-    p.set_defaults(handler=_cmd_nonempty)
-
-    p = sub.add_parser("canonical", help="canonical matrix of the class")
-    _add_pair_args(p)
-    p.set_defaults(handler=_cmd_canonical)
-
-    for name, help_text in (
-        ("structure", "print the structure matrix"),
-        ("phi", "print the phi (cover certificate) table"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        _add_pair_args(p)
-        p.set_defaults(handler=_cmd_table, which=name)
-
-    p = sub.add_parser("psi", help="two-cover quantity psi_{a,b;c,d}")
-    _add_pair_args(p)
-    for flag in "abcd":
-        p.add_argument(f"-{flag}", type=int, required=True, dest=flag)
-    p.set_defaults(handler=_cmd_psi)
-
-    p = sub.add_parser("min-rank", help="minimum t-term rank over the class")
-    _add_pair_args(p)
-    p.add_argument("-t", type=int, required=True)
-    p.set_defaults(handler=_cmd_min_rank)
-
-    p = sub.add_parser("rank", help="t-term rank of one matrix (flow computation)")
-    p.add_argument("-t", type=int, required=True)
-    p.add_argument("--matrix", required=True, help="matrix file, or - for stdin")
-    p.set_defaults(handler=_cmd_rank)
-
-    p = sub.add_parser("construct-cover", help="class member covered by e rows + f columns")
-    _add_pair_args(p)
-    p.add_argument("-e", type=int, required=True)
-    p.add_argument("-f", type=int, required=True)
-    p.set_defaults(handler=_cmd_construct_cover)
-
-    p = sub.add_parser(
-        "construct-two-cover", help="class member carrying two prefix covers at once"
-    )
-    _add_pair_args(p)
-    p.add_argument("--cover", action="append", required=True, metavar="E,F",
-                   help="give exactly twice, e.g. --cover 2,4 --cover 3,3")
-    p.set_defaults(handler=_cmd_construct_two_cover)
-
-    p = sub.add_parser("enumerate", help="list every class member (budgeted)")
-    _add_pair_args(p)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help=f"matrix cap (default {DEFAULT_BUDGET})")
-    p.add_argument("--count", action="store_true", help="print only the count")
-    p.set_defaults(handler=_cmd_enumerate)
-
-    p = sub.add_parser("uniform-min", help="search for a matrix realizing every minimum rank")
-    _add_pair_args(p)
-    p.add_argument("--tmax", type=int, default=None,
-                   help="check ranks 1..TMAX (default: largest row sum)")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help=f"matrix cap (default {DEFAULT_BUDGET})")
-    p.set_defaults(handler=_cmd_uniform_min)
-
-    p = sub.add_parser(
-        "verify-counterexample",
-        help="recompute the reference class facts and the cover infeasibility search",
-    )
-    p.set_defaults(handler=_cmd_verify_counterexample)
-
-    return parser
+    top.add_argument("--json", action="store_true", help="emit JSON instead of text")
+    top.add_argument("command", choices=commands, metavar="COMMAND",
+                     help="one of the commands below; ars COMMAND -h lists its options")
+    top.add_argument("args", nargs=argparse.REMAINDER, metavar="ARGS",
+                     help="the command's own options")
+    call = top.parse_args(argv)
+    _, handler, arguments = commands[call.command]
+    parser = argparse.ArgumentParser(prog=f"ars {call.command}")
+    for flag, keywords in arguments:
+        parser.add_argument(flag, **keywords)
+    args = parser.parse_args(call.args)
+    args.json, args.command, args.handler = call.json, call.command, handler
+    return args
 
 
 def _dispatch(args) -> CommandResult:
@@ -385,11 +323,11 @@ def _dispatch(args) -> CommandResult:
 def run(argv: list[str] | None = None) -> CommandResult:
     """Parse argv and execute; each error's class maps it onto a result
     status (see ars.errors), except a usage error, which raises ValueError."""
-    return _dispatch(build_parser().parse_args(argv))
+    return _dispatch(parse_args(argv))
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         result = _dispatch(args)
     except ValueError as exc:

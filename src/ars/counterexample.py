@@ -6,9 +6,11 @@ but no single class member attains all six at once.  This module keeps
 the reference tables and minima frozen and exposes a verification
 routine that recomputes everything and, as supporting evidence for the
 nonexistence, shows that no matrix carries any combination of the
-minimizing prefix covers simultaneously.  That last search is restricted
-to prefix covers; it supports but does not by itself prove the
-nonexistence claim.
+minimizing prefix covers simultaneously.  Each combination is decided
+in closed form by `structure.prefix_covers_feasible`, a Hall check over
+the staircase mask the covers leave, with no flow.  That last search is
+restricted to prefix covers; it supports but does not by itself prove
+the nonexistence claim.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from itertools import product
 from typing import NamedTuple
 
-from . import flow, structure
+from . import structure
 from .partition import Partition, is_nonempty
 
 ROW_SUMS = Partition((6, 5, 4, 3, 3, 2, 2, 1, 1))
@@ -74,12 +76,12 @@ def witness_sets() -> dict[int, list[tuple[int, int]]]:
 def witness_combinations() -> list[tuple[list[tuple[int, int]], bool]]:
     """Every choice of one witness cover per t = 1..6, as its sorted list
     of distinct covers, with whether some class member carries all of
-    them at once (prefix covers only)."""
+    them at once (prefix covers only, by `structure.prefix_covers_feasible`)."""
     sets = witness_sets()
     out = []
     for combo in product(*(sets[t] for t in range(1, 7))):
         covers = sorted(set(combo))
-        out.append((covers, flow.multi_cover_feasible(ROW_SUMS, COL_SUMS, covers) is not None))
+        out.append((covers, structure.prefix_covers_feasible(ROW_SUMS, COL_SUMS, covers)))
     return out
 
 

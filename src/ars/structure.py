@@ -67,6 +67,10 @@ column minima, the Gale-Ryser verdict, the frontier and phi, each built
 once.  A query on another class frees those tables.  The kept tables
 also hold the last psi quad with its value, which two_cover_exists
 reads after psi of the same quad.
+
+`prefix_covers_feasible` decides any family of prefix covers at once,
+with no table and no flow: a Hall check over the staircase mask the
+family leaves, whose worst column set one scan of the columns finds.
 """
 
 from __future__ import annotations
@@ -475,6 +479,80 @@ def two_cover_exists(
     value = psi(r, s, e_prime, e, f, f_prime)
     t = _nonempty_tables(r, s).t
     return value >= t[e][f] + t[e_prime][f_prime]
+
+
+def prefix_covers_feasible(r: Partition, s: Partition, covers) -> bool:
+    """True iff some class member carries every prefix cover (e, f) of
+    `covers` at once: all its 1s lie inside its first e rows and first f
+    columns, for each pair.  This decides with no flow what
+    `flow.multi_cover_feasible` decides for prefix covers, and it
+    generalizes phi (one cover) and psi (two).
+
+    Row i (0-based) lies outside the covers with e <= i, so it may hold
+    1s only in the columns j < L(i), L(i) = the least of n and every f
+    with e <= i.  L is a nonincreasing staircase.  A member carries
+    the family iff its 1s lie inside that mask, so the family is
+    feasible iff the transportation network source -> row i (capacity
+    R_i) -> column j < L(i) (capacity 1) -> sink (capacity S_j) moves
+    the whole weight W = sum R = sum S.
+
+    Proof of the criterion.  A cut puts a row set X and a column set Y
+    on the source side; let J be the columns not in Y.  Its capacity is
+    the R_i of the rows not in X, plus one for each mask cell from X
+    into J, plus the S_j of the columns not in J.  For a fixed J the
+    least cut keeps row i in X iff its c_i = |J & [0, L(i))| mask cells
+    into J are fewer than R_i, so it costs sum_i min(R_i, c_i) +
+    sum_{j not in J} S_j.  By max-flow min-cut (Ford-Fulkerson, Flows
+    in Networks, 1962) the flow moves W iff every such cut is at least
+    W, that is iff for every column set J
+
+        sum_i max(0, R_i - |J & [0, L(i))|) <= sum_{j not in J} S_j,
+
+    or equivalently F(J) = sum_i max(0, R_i - |J & [0, L(i))|) +
+    sum_{j in J} S_j <= W.
+
+    The worst J.  The value of F depends on J only through its columns'
+    sums and its counts |J & [0, v)| at the at most k + 1 values v that
+    L takes for k covers, the edges of the column bands of L.  So a scan of the
+    columns from left to right, whose state is c = |J & [0, j)| and
+    whose best[c] is the largest part of F so far, finds max F: column j
+    keeps c or adds S_j and raises c by one, and at the edge v = j the
+    rows with L(i) = v add max(0, R_i - c).  (S is nonincreasing, so
+    within a band the best J takes a leftmost block; the scan does not
+    need that.)  O(n^2 + mn) in all.
+
+    Each cover is an (e, f) pair with 0 <= e <= m and 0 <= f <= n
+    (BadRange otherwise), following `partition.exact_integers`.  A
+    class whose weights differ is empty, so it carries no family.
+    """
+    m, n = len(r), len(s)
+    # least_f[e] = the least f among the covers of e rows
+    least_f = [n] * (m + 1)
+    for cover in covers:
+        try:
+            e, f = cover
+        except (TypeError, ValueError):
+            raise ValueError(f"a cover is an (e, f) pair, got {cover!r}") from None
+        if e.__class__ is not int or f.__class__ is not int:
+            e, f = exact_integers((e, f), "cover sizes")
+        if not (0 <= e <= m and 0 <= f <= n):
+            raise BadRange(f"cover ({e},{f}) out of range for {m}x{n}")
+        least_f[e] = min(least_f[e], f)
+    if r.weight != s.weight:
+        return False
+    settle: list[list[int]] = [[] for _ in range(n + 1)]  # the R_i with L(i) = v
+    limit = n
+    for ri, f in zip(r.parts, least_f):
+        limit = min(limit, f)
+        settle[limit].append(ri)
+    # best[c] = the largest part of F so far over the J & [0, j) of size c
+    best = [sum(settle[0])]
+    for j, sj in enumerate(s.parts, 1):
+        # keep c, or take column j into J and come from c - 1
+        best = [best[0], *map(max, best[1:], [b + sj for b in best[:-1]]), best[-1] + sj]
+        if settle[j]:
+            best = [b + sum(ri - c for ri in settle[j] if ri > c) for c, b in enumerate(best)]
+    return max(best) <= s.weight
 
 
 class UniformMinimizerHypotheses(NamedTuple):

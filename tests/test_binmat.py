@@ -223,6 +223,16 @@ def test_text_rejects_malformed():
             BinaryMatrix.from_text(text)
 
 
+def test_text_entries_are_exactly_0_or_1():
+    """Each entry is the token 0 or 1; int() would also read "+1", "01"
+    or a digit one of another script."""
+    assert BinaryMatrix.from_text("2 2\n1 0\n0 1") == BinaryMatrix([[1, 0], [0, 1]])
+    for token in ("+1", "01", "\u0661", "2", "-0", "1.0", "x"):
+        with pytest.raises(ValueError) as exc:
+            BinaryMatrix.from_text(f"1 2\n0 {token}")
+        assert str(exc.value) == f"entries must be 0 or 1, got {token!r}"
+
+
 def test_json_round_trip():
     a = SINGLE_COVER_OUTPUT
     assert BinaryMatrix.from_json_obj(a.to_json_obj()) == a

@@ -102,6 +102,15 @@ def test_rank_from_file(tmp_path):
     assert result.payload == {"kind": "rank", "value": 3, "cross_checked": True}
 
 
+def test_rank_rejects_entries_other_than_0_or_1(tmp_path, capsys):
+    path = tmp_path / "plus.txt"
+    path.write_text("2 2\n+1 0\n0 1\n")
+    assert main(["--json", "rank", "-t", "1", "--matrix", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad matrix file: entries must be 0 or 1, got '+1'\n"
+
+
 def test_rank_huge_t(tmp_path, capsys):
     path = tmp_path / "ex3.txt"
     path.write_text(FLOW_EXAMPLE_TEXT)
@@ -397,6 +406,59 @@ def test_unknown_command_exits_nonzero():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# every command with the help line `ars -h` lists for it
+COMMAND_HELP = {
+    "nonempty": "Gale-Ryser test with structure-matrix cross-check",
+    "canonical": "canonical matrix of the class",
+    "structure": "print the structure matrix",
+    "phi": "print the phi (cover certificate) table",
+    "psi": "two-cover quantity psi_{a,b;c,d}",
+    "min-rank": "minimum t-term rank over the class",
+    "rank": "t-term rank of one matrix (flow computation)",
+    "construct-cover": "class member covered by e rows + f columns",
+    "construct-two-cover": "class member carrying two prefix covers at once",
+    "enumerate": "list every class member (budgeted)",
+    "uniform-min": "search for a matrix realizing every minimum rank",
+    "verify-counterexample":
+        "recompute the reference class facts and the cover infeasibility search",
+}
+
+
+def test_top_level_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: ars [-h] [--json] COMMAND ...\n")
+    listed = {}
+    for line in out.split("\ncommands:\n")[1].splitlines():
+        name, help_line = line.split(maxsplit=1)
+        listed[name] = help_line
+    assert listed == COMMAND_HELP
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_HELP))
+def test_command_help_exits_zero(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--json", command, "-h"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"usage: ars {command} [-h]") and captured.err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["nonempty", "--json", "-r", "1", "-s", "1"],  # --json belongs before the command
+    [],
+    ["--json"],
+])
+def test_usage_mistakes_exit_two(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage: ars" in captured.err
 
 
 def test_module_entry_point():

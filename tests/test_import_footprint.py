@@ -72,7 +72,7 @@ CASES = {
     ),
     "verify-counterexample": (
         ["verify-counterexample"],
-        BASE | {"ars.binmat", "ars.counterexample", "ars.flow", "ars.structure"},
+        BASE | {"ars.counterexample", "ars.structure"},
     ),
 }
 
@@ -118,3 +118,21 @@ def test_cli_module_loads_no_dataclasses(tmp_path):
     imported = set(json.loads(proc.stdout))
     assert {"ars", "ars.cli", "ars.errors", "ars.partition"} <= imported
     assert not imported & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+def test_counterexample_module_loads_no_flow(tmp_path):
+    """The reference class's cover combinations are decided in closed
+    form, so importing the module loads neither the flow layer nor the
+    matrix type."""
+    proc = _python(
+        [
+            "-c",
+            "import json, sys; before = set(sys.modules); import ars.counterexample; "
+            "print(json.dumps(sorted(set(sys.modules) - before)))",
+        ],
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = set(json.loads(proc.stdout))
+    assert "ars.counterexample" in imported
+    assert not imported & {"ars.flow", "ars.binmat"}

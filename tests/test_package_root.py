@@ -29,6 +29,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SUBMODULES = [
     "binmat",
     "cli",
+    "cli_text",
     "construct",
     "counterexample",
     "errors",

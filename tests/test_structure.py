@@ -25,8 +25,9 @@ from ars import (
     two_cover_matrix,
     uniform_minimizer_hypotheses,
 )
-from ars import structure
+from ars import counterexample, structure
 from ars.errors import BadRange, DimensionTooSmall, EmptyClass, WeightMismatch
+from ars.flow import multi_cover_feasible
 from ars.oracle import brute_phi
 from ars.partition import iter_partitions
 from ars.structure import (
@@ -36,9 +37,10 @@ from ars.structure import (
     _lower_hull,
     clear_table_cache,
     cover_frontier,
+    prefix_covers_feasible,
 )
 
-from helpers import matrices
+from helpers import matrices, partitions
 
 R_REF = Partition((6, 5, 4, 3, 3, 2, 2, 1, 1))
 S_REF = Partition((7, 3, 3, 2, 2) + (1,) * 10)
@@ -731,3 +733,87 @@ def test_errors_survive_the_recent_class_slot():
     # a pair whose tables cannot be built leaves the kept class in place
     assert structure._recent is kept
     assert structure._recent[0] is R_69 and structure._recent[1] is S_69
+
+
+@st.composite
+def prefix_families(draw):
+    """A pair (r, s) up to 9x9, the margins of a random 0/1 grid with no
+    empty line or, now and then, two free partitions (often an empty
+    class), with one to four prefix covers, biased toward the edges
+    e in {0, m} and f in {0, n}."""
+    if draw(st.integers(0, 5)):
+        m, n = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+        grid = draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                             min_size=m, max_size=m))
+        r = [x for x in map(sum, grid) if x]
+        s = [x for x in map(sum, zip(*grid)) if x]
+        if not r:
+            r, s = [1], [1]
+        r, s = Partition(sorted(r, reverse=True)), Partition(sorted(s, reverse=True))
+    else:
+        r = draw(partitions(max_parts=9, max_part=9))
+        s = draw(partitions(max_parts=9, max_part=9))
+    m, n = len(r), len(s)
+    edge_e = st.sampled_from([0, m]) | st.integers(0, m)
+    edge_f = st.sampled_from([0, n]) | st.integers(0, n)
+    covers = draw(st.lists(st.tuples(edge_e, edge_f), min_size=1, max_size=4))
+    return r, s, covers
+
+
+@settings(max_examples=400, deadline=None)
+@given(prefix_families())
+@example((R_REF, S_REF, [(1, 9), (2, 5), (3, 3)]))
+@example((Partition((2, 1)), Partition((2, 1)), [(0, 0)]))
+@example((Partition((2, 1)), Partition((2, 1)), [(2, 0), (0, 2)]))
+def test_prefix_covers_feasible_matches_flow(family):
+    r, s, covers = family
+    assert prefix_covers_feasible(r, s, covers) == (multi_cover_feasible(r, s, covers) is not None)
+
+
+def test_prefix_covers_feasible_matches_phi_and_psi(small_classes):
+    """One cover is phi's question and two crossing covers psi's, on
+    every class with m, n <= 4 and weight <= 8 and on 100 seeded classes
+    of random grids with m, n in 3..6 and no empty line."""
+    rng = random.Random(26)
+    desk = []
+    while len(desk) < 100:
+        m, n, density = rng.randint(3, 6), rng.randint(3, 6), rng.uniform(0.2, 0.8)
+        grid = [[int(rng.random() < density) for _ in range(n)] for _ in range(m)]
+        if all(map(any, grid)) and all(map(any, zip(*grid))):
+            desk.append((Partition(sorted(map(sum, grid), reverse=True)),
+                         Partition(sorted(map(sum, zip(*grid)), reverse=True))))
+    for r, s in [*small_classes, *desk]:
+        m, n = len(r), len(s)
+        for e in range(m + 1):
+            for f in range(n + 1):
+                assert prefix_covers_feasible(r, s, [(e, f)]) == cover_exists(r, s, e, f)
+        for e_prime, e in itertools.combinations(range(m + 1), 2):
+            for f, f_prime in itertools.combinations(range(n + 1), 2):
+                assert prefix_covers_feasible(r, s, [(e, f), (e_prime, f_prime)]) == (
+                    two_cover_exists(r, s, e_prime, e, f, f_prime)
+                ), (r, s, e_prime, e, f, f_prime)
+
+
+def test_prefix_covers_feasible_on_reference_combinations():
+    combos = counterexample.witness_combinations()
+    assert len(combos) == 8
+    for covers, realizable in combos:
+        assert realizable is False
+        assert prefix_covers_feasible(R_REF, S_REF, covers) is False
+    # each witness alone is realizable, and no cover at all asks nothing
+    for covers in counterexample.witness_sets().values():
+        assert all(prefix_covers_feasible(R_REF, S_REF, [cover]) for cover in covers)
+    assert prefix_covers_feasible(R_REF, S_REF, [])
+
+
+def test_prefix_covers_feasible_arguments():
+    r, s = Partition((2, 1)), Partition((2, 1))
+    assert prefix_covers_feasible(r, s, [(1.0, 2)]) == prefix_covers_feasible(r, s, [[1, 2]])
+    for bad in ((3, 0), (0, 3), (-1, 0), (0, -1)):
+        with pytest.raises(BadRange):
+            prefix_covers_feasible(r, s, [bad])
+    for bad in ((1.5, 1), ("1", 1), (1,), 1, (1, 1, 1)):
+        with pytest.raises(ValueError):
+            prefix_covers_feasible(r, s, [bad])
+    # a class whose weights differ carries nothing
+    assert not prefix_covers_feasible(r, Partition((2,)), [(2, 1)])
