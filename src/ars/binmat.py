@@ -8,7 +8,7 @@ from itertools import product
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, InvalidInterchange
-from .partition import Partition, exact_integers
+from .partition import Partition, decimal_integer, exact_integers
 
 # maps each entry equal to 0 or 1 (False, True, 1.0, ...) to that int
 _BIT = {0: 0, 1: 1}.__getitem__
@@ -129,7 +129,7 @@ class BinaryMatrix:
         header = lines[0].split()
         if len(header) != 2:
             raise ValueError("first line must be 'm n'")
-        m, n = int(header[0]), int(header[1])
+        m, n = (decimal_integer(v, "header entry") for v in header)
         body = lines[1:]
         if n == 0 and not body:
             body = [""] * m  # the empty rows of an m-by-0 matrix are blank lines

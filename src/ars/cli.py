@@ -1,18 +1,20 @@
 """Command-line surface: one subcommand per library operation plus the
 reference-class verification.
 
-Each handler imports the layers it calls, so one call loads only what
-its command needs."""
+One table, `_commands()`, names each command's help line, handler and
+options; `parse_args` reads argv against it, and `cli_text` draws the
+help pages and usage lines from it.  Each handler imports the layers it
+calls, so one call loads only what its command needs, and no call loads
+argparse or the gettext and locale modules behind its messages."""
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
-from typing import TYPE_CHECKING, Any, NamedTuple
+from typing import TYPE_CHECKING, Any, NamedTuple, NoReturn
 
 from .errors import ArsError, Infeasible, VerificationFailed
-from .partition import Partition, is_nonempty
+from .partition import Partition, decimal_integer, is_nonempty
 
 if TYPE_CHECKING:
     from .binmat import BinaryMatrix
@@ -146,7 +148,7 @@ def _parse_cover(text: str) -> tuple[int, int]:
     if len(parts) != 2:
         raise ValueError(f"bad --cover {text!r}: expected E,F")
     try:
-        return int(parts[0]), int(parts[1])
+        return decimal_integer(parts[0], "E"), decimal_integer(parts[1], "F")
     except ValueError:
         raise ValueError(f"bad --cover {text!r}: expected integers")
 
@@ -213,58 +215,58 @@ def _cmd_verify_counterexample(args) -> CommandResult:
     return CommandResult("ok" if payload["all_passed"] else "error", payload)
 
 
+# an option is (flag, dest, kind, default, help).  kind is str or int
+# for a flag that takes one value, the last one given winning; list for
+# a flag whose values are kept in order; bool for a switch.  A default
+# of ... makes the option required.
 _PAIR = (
-    ("-r", {"dest": "row_sums", "required": True,
-            "help": "row sums, comma-separated, e.g. 4,2,2,2,1,1,1"}),
-    ("-s", {"dest": "col_sums", "required": True, "help": "column sums, comma-separated"}),
+    ("-r", "row_sums", str, ..., "row sums, comma-separated, e.g. 4,2,2,2,1,1,1"),
+    ("-s", "col_sums", str, ..., "column sums, comma-separated"),
 )
-_INT = {"type": int, "required": True}
-_BUDGET = ("--budget", {"type": int, "default": DEFAULT_BUDGET,
-                        "help": f"matrix cap (default {DEFAULT_BUDGET})"})
+_BUDGET = ("--budget", "budget", int, DEFAULT_BUDGET, f"matrix cap (default {DEFAULT_BUDGET})")
+
+
+def _ints(names: str) -> tuple:
+    """A required integer option -x for each letter x of names."""
+    return tuple((f"-{x}", x, int, ..., "") for x in names)
 
 
 def _commands() -> dict:
-    """name -> (help line, handler, arguments as (flag, keywords) pairs).
-    Built per call, so each handler is looked up when the call runs."""
+    """name -> (help line, handler, options).  Built per call, so each
+    handler is looked up when the call runs."""
     return {
         "nonempty": ("Gale-Ryser test with structure-matrix cross-check", _cmd_nonempty, _PAIR),
         "canonical": ("canonical matrix of the class", _cmd_canonical, _PAIR),
         "structure": ("print the structure matrix", _cmd_table, _PAIR),
         "phi": ("print the phi (cover certificate) table", _cmd_table, _PAIR),
-        "psi": (
-            "two-cover quantity psi_{a,b;c,d}",
-            _cmd_psi,
-            _PAIR + tuple((f"-{flag}", {**_INT, "dest": flag}) for flag in "abcd"),
-        ),
-        "min-rank": ("minimum t-term rank over the class", _cmd_min_rank, _PAIR + (("-t", _INT),)),
+        "psi": ("two-cover quantity psi_{a,b;c,d}", _cmd_psi, _PAIR + _ints("abcd")),
+        "min-rank": ("minimum t-term rank over the class", _cmd_min_rank, _PAIR + _ints("t")),
         "rank": (
             "t-term rank of one matrix (flow computation)",
             _cmd_rank,
-            (("-t", _INT), ("--matrix", {"required": True, "help": "matrix file, or - for stdin"})),
+            _ints("t") + (("--matrix", "matrix", str, ..., "matrix file, or - for stdin"),),
         ),
         "construct-cover": (
             "class member covered by e rows + f columns",
             _cmd_construct_cover,
-            _PAIR + (("-e", _INT), ("-f", _INT)),
+            _PAIR + _ints("ef"),
         ),
         "construct-two-cover": (
             "class member carrying two prefix covers at once",
             _cmd_construct_two_cover,
-            _PAIR + (("--cover", {"action": "append", "required": True, "metavar": "E,F",
-                                  "help": "give exactly twice, e.g. --cover 2,4 --cover 3,3"}),),
+            _PAIR + (("--cover", "cover", list, ...,
+                      "E,F; give exactly twice, e.g. --cover 2,4 --cover 3,3"),),
         ),
         "enumerate": (
             "list every class member (budgeted)",
             _cmd_enumerate,
-            _PAIR + (_BUDGET,
-                     ("--count", {"action": "store_true", "help": "print only the count"})),
+            _PAIR + (_BUDGET, ("--count", "count", bool, False, "print only the count")),
         ),
         "uniform-min": (
             "search for a matrix realizing every minimum rank",
             _cmd_uniform_min,
-            _PAIR + (("--tmax", {"type": int, "default": None,
-                                 "help": "check ranks 1..TMAX (default: largest row sum)"}),
-                     _BUDGET),
+            _PAIR + (("--tmax", "tmax", int, None,
+                      "check ranks 1..TMAX (default: largest row sum)"), _BUDGET),
         ),
         "verify-counterexample": (
             "recompute the reference class facts and the cover infeasibility search",
@@ -274,35 +276,84 @@ def _commands() -> dict:
     }
 
 
-def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
-    """The parsed call, with `json`, `command` and its `handler` set.
+class Args:
+    """A parsed call: `json`, `command`, `handler` and one attribute per
+    option of the command, named by its dest."""
 
-    A first parser reads --json and the command name and keeps the rest
-    of argv unparsed, so only that command's parser is built.  A usage
-    mistake exits 2 through argparse."""
+    def __init__(self, **fields: Any):
+        self.__dict__.update(fields)
+
+
+def parse_args(argv: list[str] | None = None) -> Args:
+    """The parsed call, read against the `_commands()` table:
+
+        ars [-h|--help] [--json] COMMAND [options]
+
+    An option's flag takes the next token as its value; that token may
+    be "-" or a negative integer, but no other word that starts with "-".
+    An integer value is read by `decimal_integer`.  Flags are matched
+    whole: there are no abbreviations and no --flag=value or -t3 forms.
+    -h or --help prints the help page of `ars` or of the command and
+    exits 0.  A usage mistake prints the usage line and one error line
+    to stderr and exits 2."""
     commands = _commands()
-    top = argparse.ArgumentParser(
-        prog="ars",
-        description="Analyze and construct (0,1)-matrices with prescribed "
-        "row and column sums.",
-        epilog="commands:\n" + "\n".join(
-            f"  {name:<22}{entry[0]}" for name, entry in commands.items()
-        ),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    top.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    top.add_argument("command", choices=commands, metavar="COMMAND",
-                     help="one of the commands below; ars COMMAND -h lists its options")
-    top.add_argument("args", nargs=argparse.REMAINDER, metavar="ARGS",
-                     help="the command's own options")
-    call = top.parse_args(argv)
-    _, handler, arguments = commands[call.command]
-    parser = argparse.ArgumentParser(prog=f"ars {call.command}")
-    for flag, keywords in arguments:
-        parser.add_argument(flag, **keywords)
-    args = parser.parse_args(call.args)
-    args.json, args.command, args.handler = call.json, call.command, handler
-    return args
+    tokens = iter(sys.argv[1:] if argv is None else argv)
+    as_json = False
+    for command in tokens:
+        if command in ("-h", "--help"):
+            _help(commands, None)
+        if command != "--json":
+            break
+        as_json = True
+    else:
+        _usage_error(commands, None, "the following arguments are required: COMMAND")
+    if command not in commands:
+        message = (f"unrecognized argument {command!r}" if command.startswith("-")
+                   else f"unknown command {command!r}; ars -h lists the commands")
+        _usage_error(commands, None, message)
+    _, handler, options = commands[command]
+    by_flag = {option[0]: option for option in options}
+    fields = {dest: default for _, dest, _, default, _ in options if default is not ...}
+    for flag in tokens:
+        if flag in ("-h", "--help"):
+            _help(commands, command)
+        if flag not in by_flag:
+            _usage_error(commands, command, f"unrecognized argument {flag!r}")
+        _, dest, kind, _, _ = by_flag[flag]
+        if kind is bool:
+            fields[dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-") and value != "-" and not value[1:].isdigit():
+            _usage_error(commands, command, f"argument {flag}: expected one argument")
+        if kind is int:
+            try:
+                value = decimal_integer(value, "value")
+            except ValueError as exc:
+                _usage_error(commands, command, f"argument {flag}: {exc}")
+        elif kind is list:
+            value = [*fields.get(dest, ()), value]
+        fields[dest] = value
+    missing = [flag for flag, dest, *_ in options if dest not in fields]
+    if missing:
+        _usage_error(commands, command,
+                     f"the following arguments are required: {', '.join(missing)}")
+    return Args(json=as_json, command=command, handler=handler, **fields)
+
+
+def _help(commands: dict, command: str | None) -> NoReturn:
+    """Print the help page of ars (command None) or of command; exit 0."""
+    from .cli_text import help_page
+    sys.stdout.write(help_page(commands, command))
+    raise SystemExit(0)
+
+
+def _usage_error(commands: dict, command: str | None, message: str) -> NoReturn:
+    """Print the usage line and the error to stderr; exit 2."""
+    from .cli_text import usage_line
+    prog = "ars" if command is None else f"ars {command}"
+    sys.stderr.write(f"{usage_line(commands, command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
 
 
 def _dispatch(args) -> CommandResult:

@@ -1,5 +1,6 @@
-"""The human-readable rendering of a CLI result, kept apart from `cli`
-so that a `--json` call does not compile it."""
+"""The human-readable rendering of a CLI result, and the help pages and
+usage lines drawn from the CLI's command table, kept apart from `cli`
+so that a well-formed `--json` call does not compile them."""
 
 from __future__ import annotations
 
@@ -79,3 +80,50 @@ def _table_text(obj: dict) -> str:
     return StructureTable(
         values=tuple(tuple(row) for row in obj["values"]), kind=obj["kind"]
     ).render()
+
+
+# the help pages and usage lines; commands is `cli._commands()`, and a
+# command of None stands for `ars` itself
+
+_HELP = ("-h, --help", "show this help message and exit")
+_JSON = ("--json", "emit JSON instead of text; give it before COMMAND")
+
+
+def usage_line(commands: dict, command: str | None) -> str:
+    if command is None:
+        return "usage: ars [-h] [--json] COMMAND ..."
+    words = [f"usage: ars {command} [-h]"]
+    for flag, dest, kind, default, _ in commands[command][2]:
+        word = _invocation(flag, dest, kind)
+        words.append(word if default is ... else f"[{word}]")
+    return " ".join(words)
+
+
+def help_page(commands: dict, command: str | None) -> str:
+    if command is None:
+        lines = [
+            "Analyze and construct (0,1)-matrices with prescribed row and column sums.",
+            "",
+            *_option_lines([_HELP, _JSON]),
+            "",
+            "COMMAND is one of the commands below; ars COMMAND -h lists its options.",
+            "",
+            "commands:",
+            *(f"  {name:<22}{entry[0]}" for name, entry in commands.items()),
+        ]
+    else:
+        about, _, options = commands[command]
+        rows = [_HELP, *((_invocation(flag, dest, kind), text)
+                         for flag, dest, kind, _, text in options)]
+        lines = [about, "", *_option_lines(rows)]
+    return "\n".join([usage_line(commands, command), "", *lines]) + "\n"
+
+
+def _invocation(flag: str, dest: str, kind: type) -> str:
+    return flag if kind is bool else f"{flag} {dest.upper()}"
+
+
+def _option_lines(rows: list[tuple[str, str]]) -> list[str]:
+    """The options: block, one row per option with its help aligned."""
+    width = max(len(left) for left, _ in rows) + 2
+    return ["options:", *(f"  {left:<{width}}{right}".rstrip() for left, right in rows)]

@@ -38,9 +38,11 @@ class Partition:
 
     @classmethod
     def from_text(cls, text: str) -> "Partition":
-        """Parse the comma-separated form, e.g. ``6,5,4,3,3,2,2,1,1``."""
+        """Parse the comma-separated form, e.g. ``6,5,4,3,3,2,2,1,1``.
+        Blanks around a part and empty items are ignored; each part is
+        read by `decimal_integer`."""
         items = [tok.strip() for tok in text.split(",") if tok.strip()]
-        return cls(int(tok) for tok in items)
+        return cls(decimal_integer(tok, "part") for tok in items)
 
     def to_text(self) -> str:
         return ",".join(str(p) for p in self.parts)
@@ -78,6 +80,16 @@ def exact_integers(given: tuple, what: str) -> tuple[int, ...]:
     if ints != given:
         raise ValueError(f"{what} must be integers, got {given!r}")
     return ints
+
+
+def decimal_integer(text: str, what: str) -> int:
+    """text as an int when it is an optional "-" and then ASCII digits;
+    int() would also read "+2", " 1", "1_0" or a digit of another
+    script, which raise ValueError naming what."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{what} {text!r} is not an integer in ASCII decimal digits")
+    return int(text)
 
 
 def positive_integer(value, what: str) -> int:

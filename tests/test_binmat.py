@@ -223,6 +223,13 @@ def test_text_rejects_malformed():
             BinaryMatrix.from_text(text)
 
 
+def test_text_header_is_ascii_decimal():
+    """The m n header is read by decimal_integer, not int()."""
+    for header in ("+1 1", "1 \u0661", "1_0 1", "1.0 1"):
+        with pytest.raises(ValueError, match="^header entry .* is not an integer in ASCII"):
+            BinaryMatrix.from_text(f"{header}\n1")
+
+
 def test_text_entries_are_exactly_0_or_1():
     """Each entry is the token 0 or 1; int() would also read "+1", "01"
     or a digit one of another script."""

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import ars.cli
 import ars.errors
 from ars import BinaryMatrix
-from ars.cli import main, run
+from ars.cli import DEFAULT_BUDGET, main, parse_args, run
 
 from helpers import matrices
 
@@ -27,6 +27,9 @@ ROOT = Path(__file__).resolve().parent.parent
 # the --json stdout of each README example command, keyed by its
 # arguments after "ars"
 README_GOLDEN = json.loads((ROOT / "tests" / "golden" / "readme_cli_json.json").read_text())
+# the stdout of `ars -h`, and of `ars COMMAND -h` keyed by COMMAND
+HELP_GOLDEN = (ROOT / "tests" / "golden" / "help.txt").read_text()
+COMMAND_HELP_GOLDEN = json.loads((ROOT / "tests" / "golden" / "command_help.json").read_text())
 
 
 def _readme_commands():
@@ -461,6 +464,110 @@ def test_usage_mistakes_exit_two(argv, capsys):
     assert captured.out == "" and "usage: ars" in captured.err
 
 
+def test_top_level_help_is_golden(capsys):
+    assert sorted(COMMAND_HELP_GOLDEN) == sorted(COMMAND_HELP)
+    for flag in ("-h", "--help"):
+        with pytest.raises(SystemExit) as exc:
+            main(["--json", flag])
+        assert exc.value.code == 0
+        assert capsys.readouterr() == (HELP_GOLDEN, "")
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_HELP))
+def test_command_help_is_golden(command, capsys):
+    # the help flag is read before the required options are checked
+    for argv in ([command, "-h"], ["--json", command, "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr() == (COMMAND_HELP_GOLDEN[command], "")
+
+
+def test_option_values_may_be_a_dash_or_a_negative_integer(monkeypatch, capsys):
+    args = parse_args(["rank", "-t", "-1", "--matrix", "-"])
+    assert (args.command, args.t, args.matrix, args.json) == ("rank", -1, "-", False)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(FLOW_EXAMPLE_TEXT))
+    # the handler, not the parser, rejects t = -1
+    assert main(["--json", "rank", "-t", "-1", "--matrix", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "usage:" not in captured.err
+    assert parse_args(["enumerate", "-r", "1", "-s", "1", "--budget", "-1"]).budget == -1
+
+
+def test_repeated_option_keeps_its_last_value():
+    args = parse_args(["min-rank", "-r", "9", "-s", "2,1", "-t", "5", "-r", "2,1", "-t", "2"])
+    assert (args.row_sums, args.col_sums, args.t) == ("2,1", "2,1", 2)
+    assert run(["min-rank", "-r", "9", "-s", "2,1", "-r", "2,1", "-t", "5", "-t", "1"]).payload[
+        "value"] == 2
+
+
+def test_cover_keeps_its_order():
+    argv = ["construct-two-cover", "-r", "2,1", "-s", "2,1", "--cover", "3,3", "--cover", "2,4"]
+    assert parse_args(argv).cover == ["3,3", "2,4"]
+    assert parse_args(argv + ["--cover", "1,1"]).cover == ["3,3", "2,4", "1,1"]
+
+
+def test_optional_options_take_their_defaults():
+    args = parse_args(["--json", "--json", "enumerate", "-r", "1", "-s", "1"])
+    assert (args.json, args.budget, args.count) == (True, DEFAULT_BUDGET, False)
+    assert parse_args(["enumerate", "-r", "1", "-s", "1", "--count"]).count is True
+    args = parse_args(["uniform-min", "-r", "1", "-s", "1"])
+    assert (args.tmax, args.budget) == (None, DEFAULT_BUDGET)
+    assert not hasattr(parse_args(["rank", "-t", "1", "--matrix", "m"]), "row_sums")
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "-r", "1", "-s", "1", "--bud", "5"],  # no abbreviations
+    ["enumerate", "-r", "1", "-s", "1", "--budget=5"],  # no attached values
+    ["min-rank", "-r", "1", "-s", "1", "-t3"],
+    ["min-rank", "-r", "1", "-s", "1", "-t"],  # a missing value
+    ["min-rank", "-r", "1", "-s", "1", "-t", "-r"],
+    ["min-rank", "-r", "1", "-s", "1", "-t", "x"],  # not an integer
+    ["min-rank", "-r", "1", "-s", "1", "-t", " +1"],
+    ["min-rank", "-r", "1", "-s", "1", "-t", "\u0661"],
+    ["min-rank", "-r", "1", "-s", "1", "-t", "-1.5"],
+    ["min-rank", "-s", "1", "-t", "1"],  # a missing -r
+    ["nonempty", "-r", "1", "-s", "1", "stray"],
+    ["nonempty", "-r", "1", "-s", "1", "--json"],
+    ["verify-counterexample", "-r", "1"],
+])
+def test_malformed_options_exit_two_with_the_command_usage(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--json", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith(f"usage: ars {argv[0]} [-h]")
+    assert error.startswith(f"ars {argv[0]}: error: ")
+
+
+@pytest.mark.parametrize("argv", [[], ["--json"], ["--js", "nonempty"], ["-x"], ["frobnicate"]])
+def test_malformed_command_exits_two_with_the_top_usage(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[0] == "usage: ars [-h] [--json] COMMAND ..."
+    assert captured.err.splitlines()[1].startswith("ars: error: ")
+
+
+def test_integers_are_ascii_decimals(capsys):
+    """int() reads "+2", " +1", "1_0" and "\u0662"; the CLI does not."""
+    for argv, err in (
+        (["nonempty", "-r", "+2,\u0662", "-s", "2,2"],
+         "error: bad -r: part '+2' is not an integer in ASCII decimal digits\n"),
+        (["nonempty", "-r", "2,2", "-s", "1_0"],
+         "error: bad -s: part '1_0' is not an integer in ASCII decimal digits\n"),
+        (["construct-two-cover", "-r", "2,1", "-s", "2,1", "--cover", "+1,1", "--cover", "1,0"],
+         "error: bad --cover '+1,1': expected integers\n"),
+    ):
+        assert main(["--json", *argv]) == 2
+        assert capsys.readouterr() == ("", err)
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "ars", "min-rank", "-r", R_REF, "-s", S_REF, "-t", "1"],
@@ -508,6 +615,13 @@ COMMAND_ARGS = {
 }
 
 
+HELP_FLAGS = {"-h", "--help"}
+# tokens that no position in argv accepts: unknown flags, the forms that
+# are not read (an abbreviation, --flag=value, -t3) and the digits of
+# another script
+MALFORMED = {"--frobnicate", "--js", "--budget=5", "-t3", "\u0662", "-\u0662"}
+
+
 @st.composite
 def cli_argv(draw):
     command = draw(st.sampled_from(sorted(COMMAND_ARGS)))
@@ -515,6 +629,9 @@ def cli_argv(draw):
     argv.append(command)
     for tokens in COMMAND_ARGS[command]:
         argv.extend(draw(tokens))
+    if draw(st.integers(0, 3)) == 0:
+        token = draw(st.sampled_from(sorted(HELP_FLAGS | MALFORMED)))
+        argv.insert(draw(st.integers(0, len(argv))), token)
     return argv
 
 
@@ -526,12 +643,17 @@ def test_cli_fuzz_keeps_exit_contract(argv, stdin_matrix):
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as exc:  # argparse rejected argv
+        except SystemExit as exc:  # a help page, or a usage mistake in argv
             code = exc.code
     assert code in (0, 1, 2)
     assert "Traceback" not in out.getvalue() + err.getvalue()
+    if set(argv) & MALFORMED:
+        assert code == 2
     if code == 2:
         assert out.getvalue() == ""
+    elif set(argv) & HELP_FLAGS:
+        assert code == 0 and err.getvalue() == ""
+        assert out.getvalue().startswith("usage: ars ")
     elif argv[0] == "--json":
         status = json.loads(out.getvalue())["status"]
         assert status in ("ok", "infeasible", "undetermined", "error")

@@ -35,6 +35,10 @@ sys.stderr.write(json.dumps([code, sorted(set(sys.modules) - before)]))
 """
 
 BASE = {"ars", "ars.cli", "ars.errors", "ars.partition"}
+# stdlib modules that no call imports: the CLI parses argv from its own
+# command table, without argparse and the translation machinery that
+# argparse's messages load
+UNUSED_STDLIB = {"argparse", "gettext", "locale", "_locale", "dataclasses", "inspect"}
 TABLES = BASE | {"ars.structure"}
 
 CONSTRUCT = BASE | {"ars.binmat", "ars.construct", "ars.structure"}
@@ -102,7 +106,20 @@ def test_cli_call_imports_only_its_layers(case, tmp_path):
     assert code == 0
     assert json.loads(proc.stdout)["status"] == "ok"
     assert {m for m in imported if m.split(".")[0] == "ars"} == expected
-    assert "dataclasses" not in imported and "inspect" not in imported
+    assert not set(imported) & UNUSED_STDLIB
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (["-h"], "usage: ars [-h] [--json] COMMAND ...\n"),
+    (["rank", "-h"], "usage: ars rank [-h] -t T --matrix MATRIX\n"),
+], ids=["ars -h", "ars rank -h"])
+def test_help_page_imports_no_parser_library(argv, usage, tmp_path):
+    """A help page is drawn from the command table by `cli_text`."""
+    proc = _python(["-c", DRIVER, *argv], tmp_path)
+    code, imported = json.loads(proc.stderr)
+    assert code == 0 and proc.stdout.startswith(usage)
+    assert {m for m in imported if m.split(".")[0] == "ars"} == BASE | {"ars.cli_text"}
+    assert not set(imported) & UNUSED_STDLIB
 
 
 def test_cli_module_loads_no_dataclasses(tmp_path):

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ars import Partition, conjugate, is_nonempty, iter_partitions, majorized_by, margins_realizable
-from ars.partition import conjugate_counts
+from ars.partition import conjugate_counts, decimal_integer
 
 from helpers import matrices, partitions
 
@@ -124,6 +124,27 @@ def test_text_round_trip():
     p = Partition((6, 5, 4, 3, 3, 2, 2, 1, 1))
     assert Partition.from_text(p.to_text()) == p
     assert Partition.from_text(" 2, 1 ").parts == (2, 1)
+
+
+NOT_DECIMAL = ("+2", " +1", "1_0", "\u0662", "\u00b2", "2.0", "", "-", "--1", "1 ", "0x1", "x")
+
+
+def test_decimal_integer_reads_ascii_digits_only():
+    """An optional "-" and then ASCII digits; int() would also read a
+    sign "+", blanks, underscores and the digits of other scripts."""
+    assert decimal_integer("12", "part") == 12
+    assert decimal_integer("-1", "part") == -1
+    assert decimal_integer("007", "part") == 7
+    for text in NOT_DECIMAL:
+        with pytest.raises(ValueError) as exc:
+            decimal_integer(text, "part")
+        assert str(exc.value) == f"part {text!r} is not an integer in ASCII decimal digits"
+
+
+def test_from_text_reads_ascii_digits_only():
+    for text in ("+2,2", "2,\u0662", "1_0", "2,+1"):
+        with pytest.raises(ValueError, match="is not an integer in ASCII decimal digits"):
+            Partition.from_text(text)
 
 
 def test_margins_realizable_loose():
