@@ -130,6 +130,8 @@ class BinaryMatrix:
         if len(header) != 2:
             raise ValueError("first line must be 'm n'")
         m, n = (decimal_integer(v, "header entry") for v in header)
+        if min(m, n) < 0:
+            raise ValueError(f"header entry {min(m, n)} is negative")
         body = lines[1:]
         if n == 0 and not body:
             body = [""] * m  # the empty rows of an m-by-0 matrix are blank lines

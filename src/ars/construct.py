@@ -11,13 +11,13 @@ and 2.5 raises ValueError.  One column shift, `_shift_columns`, picks
 the rows of every column by one rule: largest live sum, bottommost on
 ties.  By Ryser's lemma that rule fills any realizable margins, so the
 shift itself raises InfeasibleShift on unrealizable ones and the
-residual core needs no Gale-Ryser test.  Every matrix is assembled from the shift's column
-row-lists, with margins known by construction.  The normal form of an
-interchange path is the shift of the shared margins.  Only the most
-recent margins' shift is kept, as `structure` keeps one class's tables:
-its column row-lists, their bit masks and the canonical matrix, built
-together; another class replaces it.  `ryser_canonical` returns the
-kept matrix, and a path leg from it is empty."""
+residual core needs no Gale-Ryser test.  Every matrix is assembled from
+the shift's column row-lists, with margins known by construction.  The
+normal form of an interchange path is the shift of the shared margins.
+A `partition.KeptClass` slot keeps the most recent margins' shift: its
+column row-lists, their bit masks and the canonical matrix, built
+together.  `ryser_canonical` returns the kept matrix, and a path leg
+from it is empty."""
 
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from .errors import (
     NotSameClass,
     VerificationFailed,
 )
-from .partition import Partition, exact_integers, is_nonempty
+from .partition import KeptClass, Partition, exact_integers, is_nonempty
 from . import structure
 
 
@@ -95,23 +95,13 @@ class _Shift:
     """The canonical column shift of one class's margins."""
 
     def __init__(self, row_sums: tuple[int, ...], col_sums: tuple[int, ...]):
-        self.margins = row_sums, col_sums
         self.cols = _shift_columns(row_sums, col_sums, len(row_sums), 0)[0]
         powers = [1 << i for i in range(len(row_sums))]
         self.masks = [sum(map(powers.__getitem__, col)) for col in self.cols]
         self.matrix = BinaryMatrix.from_column_sets(self.cols, row_sums, col_sums)
 
 
-_kept: _Shift | None = None
-
-
-def _kept_shift(row_sums: tuple[int, ...], col_sums: tuple[int, ...]) -> _Shift:
-    global _kept
-    kept = _kept  # one read: a check and its answer belong to one record
-    # tuple equality tests each item by identity first, then by value
-    if kept is None or kept.margins != (row_sums, col_sums):
-        kept = _kept = _Shift(row_sums, col_sums)
-    return kept
+_kept = KeptClass(_Shift)
 
 
 def ryser_canonical(r: Partition, s: Partition) -> BinaryMatrix:
@@ -121,7 +111,7 @@ def ryser_canonical(r: Partition, s: Partition) -> BinaryMatrix:
     with the shift until another class is asked about."""
     if not is_nonempty(r, s):
         raise EmptyClass(f"no matrix has row sums {r.parts} and column sums {s.parts}")
-    return _kept_shift(r.parts, s.parts).matrix
+    return _kept.get(r.parts, s.parts).matrix
 
 
 def _residual_core(
@@ -319,7 +309,7 @@ def interchange_path(a: BinaryMatrix, b: BinaryMatrix) -> tuple[Interchange, ...
     its canonical matrix (see ryser_canonical) has an empty leg."""
     if (a.m, a.n) != (b.m, b.n) or a.row_sums != b.row_sums or a.col_sums != b.col_sums:
         raise NotSameClass("matrices differ in shape or margins")
-    shift = _kept_shift(a.row_sums, a.col_sums)
+    shift = _kept.get(a.row_sums, a.col_sums)
     return tuple(_reduce_to_normal(a, shift)) + tuple(reversed(_reduce_to_normal(b, shift)))
 
 

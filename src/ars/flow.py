@@ -17,19 +17,17 @@ Permuting the rows of a matrix changes none of its t-term ranks, and
 members of a class with repeated row sums are often row permutations of
 each other.  So enumerated members (those carrying `_row_bits`) share
 one kernel per multiset of row bitmasks, the sorted tuple of their masks:
-each step runs once per row multiset of the class.  A member's first
-read costs one lookup: its class is matched by identity of its margin
-tuples (the members of one walk share them; equality is the fallback),
-its kernel by its sorted masks, and a rank another member has stepped
-is read from the kernel's list with no further call.  The memo is a
-one-class slot, as `structure` keeps one class's tables: a member of
-another class starts a fresh dict, and a class at `_SHARED_CAP` (4,096)
-kernels empties its dict before it adds one, which frees the kernels no
-matrix holds.  Measured with tracemalloc, a kernel and its key take
-about 0.3 KB once final and 0.75 KB partly stepped at 6x9, so at such
-sizes the memo stays under about 3 MB; the size of a kernel grows with
-m + n.  Matrices built by the constructor never enter the memo and keep
-a kernel of their own.
+each step runs once per row multiset of the class.  The memo is the
+dict of a `partition.KeptClass` slot, keyed by the margin tuples that
+the members of one walk share, so a member's first read costs an
+identity check and one lookup, and a rank another member has stepped
+is read from the kernel's list with no further call.  A class at
+`_SHARED_CAP` (4,096) kernels empties its dict before it adds one,
+which frees the kernels no matrix holds.  Measured with tracemalloc, a
+kernel and its key take about 0.3 KB once final and 0.75 KB partly
+stepped at 6x9, so at such sizes the memo stays under about 3 MB; the
+size of a kernel grows with m + n.  Matrices built by the constructor
+never enter the memo and keep a kernel of their own.
 
 `FlowNetwork` is the one transportation network over unit cells
 (Edmonds-Karp): it serves `feasible_bounded`, and through
@@ -46,7 +44,7 @@ from itertools import compress, count
 
 from .binmat import BinaryMatrix, CoverSpec
 from .errors import DimensionMismatch
-from .partition import Partition, positive_integer
+from .partition import KeptClass, Partition, positive_integer
 
 
 class FlowNetwork:
@@ -239,9 +237,7 @@ class _RankKernel:
             self.adj = self.owner = self.load = None
 
 
-# (row sums, column sums, {sorted row bitmasks: kernel}) of the one
-# enumerated class whose kernels are shared
-_shared: tuple = (None, None, {})
+_kept = KeptClass(lambda row_sums, col_sums: {})
 _SHARED_CAP = 4096
 
 
@@ -249,22 +245,18 @@ def _kernel(a: BinaryMatrix) -> _RankKernel:
     """The rank kernel of a matrix not ranked before, found or created.
 
     An enumerated member (`_row_bits` set) takes the kernel of any member
-    of its class (its margin tuples, by identity first) ranked before it
-    with the same sorted row bitmasks, a row permutation of it; a new
-    class starts a fresh dict, and a class at `_SHARED_CAP` kernels
-    empties its dict before it adds one.  Any other matrix gets its own.
+    of its class ranked before it with the same sorted row bitmasks, a
+    row permutation of it, from the dict `_kept` holds for its margins;
+    a class at `_SHARED_CAP` kernels empties its dict before it adds
+    one.  Any other matrix gets its own.
     """
-    bits = a._row_bits
-    if bits is None:
+    if a._row_bits is None:
         kernel = a._rank_state = _RankKernel(a)
         return kernel
-    global _shared
-    r, s, kernels = _shared  # one read: the three always belong together
-    rs, cs = a.row_sums, a.col_sums
-    if (r is not rs and r != rs) or (s is not cs and s != cs):
-        kernels = {}
-        _shared = (rs, cs, kernels)
-    key = tuple(sorted(bits))
+    r, s, kernels = _kept.entry  # one read, see KeptClass
+    if r is not a.row_sums or s is not a.col_sums:
+        kernels = _kept.get(a.row_sums, a.col_sums)
+    key = tuple(sorted(a._row_bits))
     kernel = kernels.get(key)
     if kernel is None:
         if len(kernels) >= _SHARED_CAP:

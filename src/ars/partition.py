@@ -1,10 +1,10 @@
 """Partitions (nonincreasing positive integer vectors), conjugation by one
-walk (`conjugate_counts`), majorization, and the Gale-Ryser nonemptiness
-test by one count of the rows (`rows_fit`)."""
+walk (`conjugate_counts`), majorization, the Gale-Ryser nonemptiness
+test by one count of the rows (`rows_fit`), and the class slot `KeptClass`."""
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import accumulate
 
 
@@ -84,12 +84,46 @@ def exact_integers(given: tuple, what: str) -> tuple[int, ...]:
 
 def decimal_integer(text: str, what: str) -> int:
     """text as an int when it is an optional "-" and then ASCII digits;
-    int() would also read "+2", " 1", "1_0" or a digit of another
-    script, which raise ValueError naming what."""
+    int() would also read "+2", " 1", "1_0" or another script's digits,
+    which raise ValueError naming what, as do more digits than int() reads."""
     digits = text[1:] if text[:1] == "-" else text
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"{what} {text!r} is not an integer in ASCII decimal digits")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than the interpreter converts
+        raise ValueError(f"{what} is too long: {len(digits)} digits") from None
+
+
+class KeptClass:
+    """The data `build(r, s)` derives from the most recent class.
+    `entry` is (r, s, data), read and written whole, so one read sees a
+    pair with its own data; hot paths read it inline and call `get` on a
+    miss.  `get` matches the kept pair by identity, then by equality,
+    and an equal pair takes over the slot; another pair stores
+    `build(r, s)`, freeing the last data; a failed `build` changes nothing."""
+
+    def __init__(self, build: Callable):
+        self.entry: tuple = (None, None, None)
+        self.build = build
+        _SLOTS.append(self)
+
+    def get(self, r, s):
+        last_r, last_s, data = self.entry
+        if last_r is not r or last_s is not s:
+            if last_r != r or last_s != s:
+                data = self.build(r, s)
+            self.entry = (r, s, data)
+        return data
+
+
+_SLOTS: list[KeptClass] = []
+
+
+def clear_kept_classes() -> None:
+    """Empty every `KeptClass` slot: each layer's next query starts cold."""
+    for slot in _SLOTS:
+        slot.entry = (None, None, None)
 
 
 def positive_integer(value, what: str) -> int:

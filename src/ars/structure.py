@@ -60,13 +60,11 @@ same for every row, so one lower hull over col_min serves them all: it
 drops its last points as v falls, and each probed row pushes its tail
 on top and the next row takes it back off by the undo log.
 
-Every criterion except the full phi table reads the frontier.  Callers
-ask about one class at a time, so only the most recent class is kept:
-its (r, s), matched by identity or else by equality, with t, A, the
-column minima, the Gale-Ryser verdict, the frontier and phi, each built
-once.  A query on another class frees those tables.  The kept tables
-also hold the last psi quad with its value, which two_cover_exists
-reads after psi of the same quad.
+Every criterion except the full phi table reads the frontier.  The
+tables of the most recent class (t, A, the column minima, the Gale-Ryser
+verdict, the frontier and phi, each built once) live in a
+`partition.KeptClass` slot.  They also hold the last psi quad with its
+value, which two_cover_exists reads after psi of the same quad.
 
 `prefix_covers_feasible` decides any family of prefix covers at once,
 with no table and no flow: a Hall check over the staircase mask the
@@ -81,7 +79,8 @@ from operator import add
 from typing import NamedTuple
 
 from .errors import BadRange, DimensionTooSmall, EmptyClass, WeightMismatch
-from .partition import Partition, conjugate_counts, exact_integers, is_nonempty, positive_integer
+from .partition import KeptClass, Partition, conjugate_counts, exact_integers, is_nonempty
+from .partition import positive_integer
 
 
 class StructureTable:
@@ -308,29 +307,11 @@ class _ClassTables:
         return tuple(rows)
 
 
-# the one kept class, (r, s, tables): a run of queries on the same two
-# Partition objects is an identity check, and a new class replaces it
-_recent: tuple = (None, None, None)
-
-
-def clear_table_cache() -> None:
-    """Drop the kept class's tables, so the next call starts cold."""
-    global _recent
-    _recent = (None, None, None)
-
-
-def _tables(r: Partition, s: Partition) -> _ClassTables:
-    global _recent
-    last_r, last_s, tables = _recent  # one read: the three always belong together
-    if last_r is not r or last_s is not s:
-        if last_r != r or last_s != s:
-            tables = _ClassTables(r, s)
-        _recent = (r, s, tables)
-    return tables
+_kept = KeptClass(_ClassTables)
 
 
 def _nonempty_tables(r: Partition, s: Partition) -> _ClassTables:
-    tables = _tables(r, s)
+    tables = _kept.get(r, s)
     if not tables.nonempty:
         raise EmptyClass(f"no matrix has row sums {r.parts} and column sums {s.parts}")
     return tables
@@ -342,7 +323,7 @@ def structure_matrix(r: Partition, s: Partition) -> StructureTable:
     Entry (k, l) counts k*l minus the first l column sums plus the last
     m-k row sums; every entry is nonnegative iff the class is nonempty.
     """
-    return StructureTable(values=_tables(r, s).t, kind="T")
+    return StructureTable(values=_kept.get(r, s).t, kind="T")
 
 
 def nonempty_by_structure(table: StructureTable) -> bool:
@@ -392,7 +373,7 @@ def cover_exists(r: Partition, s: Partition, e: int, f: int) -> bool:
         e, f = exact_integers((e, f), "cover sizes")
     if not (0 <= e <= len(r.parts) and 0 <= f <= len(s.parts)):
         raise BadRange(f"cover ({e},{f}) out of range for {len(r)}x{len(s)}")
-    last_r, last_s, tables = _recent  # one read: the three always belong together
+    last_r, last_s, tables = _kept.entry  # one read, see KeptClass
     if last_r is not r or last_s is not s or not tables.nonempty:
         tables = _nonempty_tables(r, s)  # a class change, or an empty class
     return f >= tables.frontier[e]

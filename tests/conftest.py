@@ -4,8 +4,18 @@ import pytest
 
 from ars import is_nonempty
 from ars.oracle import enumerate_class
+from ars.partition import clear_kept_classes
 
 from helpers import cover_profile, equal_weight_pairs
+
+
+@pytest.fixture
+def cold_classes():
+    """Every layer's kept class emptied before the test and after it, so
+    what the test keeps, patched or not, reaches no other test."""
+    clear_kept_classes()
+    yield
+    clear_kept_classes()
 
 
 @pytest.fixture(scope="session")

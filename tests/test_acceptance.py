@@ -28,7 +28,8 @@ from ars import (
     two_cover_parts,
     uniform_minimizer_hypotheses,
 )
-from ars import counterexample, structure
+from ars import counterexample
+from ars.partition import clear_kept_classes
 from ars.oracle import enumerate_class
 
 R_REF = counterexample.ROW_SUMS
@@ -42,14 +43,10 @@ def _report(number: int, name: str, detail: str) -> None:
     print(f"ACCEPTANCE {number} ({name}): PASS - {detail}", flush=True)
 
 
-def _clear_table_caches() -> None:
-    structure.clear_table_cache()
-
-
 def test_criterion_1_counterexample_minima():
     expected = {1: (6, (3, 3)), 2: (9, (2, 5)), 3: (11, (2, 5)),
                 4: (13, (1, 9)), 5: (14, (1, 9)), 6: (15, (0, 15))}
-    _clear_table_caches()
+    clear_kept_classes()
     started = time.perf_counter()
     got = {t: min_t_term_rank(R_REF, S_REF, t) for t in range(1, 7)}
     elapsed = time.perf_counter() - started
@@ -64,7 +61,7 @@ def test_criterion_1_counterexample_minima():
 
 
 def test_criterion_2_counterexample_tables():
-    _clear_table_caches()
+    clear_kept_classes()
     tv = structure_matrix(R_REF, S_REF).values
     pv = phi_matrix(R_REF, S_REF).values
     assert tv == counterexample.STRUCTURE_TABLE

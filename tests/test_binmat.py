@@ -224,10 +224,15 @@ def test_text_rejects_malformed():
 
 
 def test_text_header_is_ascii_decimal():
-    """The m n header is read by decimal_integer, not int()."""
+    """The m n header is read by decimal_integer, not int(), and neither
+    entry may be negative."""
     for header in ("+1 1", "1 \u0661", "1_0 1", "1.0 1"):
         with pytest.raises(ValueError, match="^header entry .* is not an integer in ASCII"):
             BinaryMatrix.from_text(f"{header}\n1")
+    for header, entry in (("-1 0", -1), ("0 -1", -1), ("-1 -2", -2), ("-2 1", -2)):
+        with pytest.raises(ValueError) as exc:
+            BinaryMatrix.from_text(f"{header}\n1")
+        assert str(exc.value) == f"header entry {entry} is negative"
 
 
 def test_text_entries_are_exactly_0_or_1():

@@ -568,6 +568,37 @@ def test_integers_are_ascii_decimals(capsys):
         assert capsys.readouterr() == ("", err)
 
 
+# the most digits int() converts from text, 0 where it has no limit
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not INT_DIGITS, reason="int() takes any number of digits")
+def test_over_long_integers_exit_two(tmp_path, capsys):
+    """An integer with more digits than int() converts is a usage mistake
+    wherever the CLI reads one, a bad value or a bad option: the message
+    names the value, does not repeat its digits and points at no
+    interpreter setting."""
+    digits = "1" * (INT_DIGITS + 1)
+    path = tmp_path / "long.txt"
+    path.write_text(f"1 {digits}\n1\n")
+    too_long = f"is too long: {len(digits)} digits\n"
+    cover = ["--cover", f"{digits},1", "--cover", "1,0"]
+    for argv, tail in (
+        (["nonempty", "-r", digits, "-s", "1"], "error: bad -r: part " + too_long),
+        (["rank", "-t", "1", "--matrix", str(path)], "bad matrix file: header entry " + too_long),
+        (["min-rank", "-r", "1", "-s", "1", "-t", digits], "error: argument -t: value " + too_long),
+        (["enumerate", "-r", "1", "-s", "1", "--budget", f"-{digits}"], "value " + too_long),
+        (["construct-two-cover", "-r", "2,1", "-s", "2,1", *cover], ": expected integers\n"),
+    ):
+        try:
+            code = main(["--json", *argv])
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and err.endswith(tail), argv
+        assert "set_int_max_str_digits" not in err and ("--cover" in argv or digits not in err)
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "ars", "min-rank", "-r", R_REF, "-s", S_REF, "-t", "1"],

@@ -37,6 +37,7 @@ from ars.errors import (
     NotSameClass,
     VerificationFailed,
 )
+from ars.partition import clear_kept_classes
 from ars.structure import cover_frontier
 
 from test_structure import PROFILE_SHAPES, _profile_class, _random_quad
@@ -386,13 +387,13 @@ def test_interchange_path_rejects_different_margins():
         interchange_path(BinaryMatrix([[1, 0], [0, 1]]), BinaryMatrix([[1, 0]]))
 
 
-def test_interchange_path_different_normal_forms_is_an_internal_fault(monkeypatch):
+def test_interchange_path_different_normal_forms_is_an_internal_fault(cold_classes, monkeypatch):
     # each leg must end on the canonical shift of the shared margins; a
     # normal form that interchanges cannot reach means a bug, so a shift
     # that put both ones of the identity in column 0 must be caught; the
-    # kept shift is dropped first, so the patched shift is the one read
+    # kept shift is dropped before and after, so the patched shift is
+    # the one read and no other test reads it
     a = BinaryMatrix([[1, 0], [0, 1]])
-    monkeypatch.setattr(ars.construct, "_kept", None)
     monkeypatch.setattr(ars.construct, "_shift_columns", lambda *args: ([[0, 1], []], [1, 1]))
     with pytest.raises(VerificationFailed, match="different normal forms"):
         interchange_path(a, a)
@@ -408,7 +409,7 @@ def _moved_unit(parts):
     return Partition(p)
 
 
-def test_kept_shift_answers_as_a_fresh_one(monkeypatch):
+def test_kept_shift_answers_as_a_fresh_one():
     """ryser_canonical and interchange_path to, from and between copies of
     the canonical matrix, over the classes A, B, A, C, A: B has A's row
     sums, C has A's column sums.  The partitions are the same objects,
@@ -425,7 +426,7 @@ def test_kept_shift_answers_as_a_fresh_one(monkeypatch):
         return [(x, canonical), (canonical, x), (x, BinaryMatrix(canonical.rows))]
 
     def fresh(f, *args):
-        monkeypatch.setattr(ars.construct, "_kept", None)
+        clear_kept_classes()
         return f(*args)
 
     expected = {}
@@ -434,7 +435,7 @@ def test_kept_shift_answers_as_a_fresh_one(monkeypatch):
         paths = [fresh(interchange_path, a, b) for a, b in ends(r, s, canonical, False)]
         expected[name] = canonical, paths
     for mode in ("same", "copies", "checked"):
-        monkeypatch.setattr(ars.construct, "_kept", None)
+        clear_kept_classes()
         for name in "ABACA":
             r, s = classes[name]
             if mode != "same":

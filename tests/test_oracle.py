@@ -26,6 +26,7 @@ from ars import (
 from ars import flow, oracle
 from ars.errors import EmptyClass
 from ars.oracle import brute_t_term_ranks
+from ars.partition import clear_kept_classes
 
 from helpers import matrices
 
@@ -340,13 +341,7 @@ def test_final_rank_profile_runs_no_step(monkeypatch):
             t_term_rank(a, bad)
 
 
-@pytest.fixture
-def empty_memo(monkeypatch):
-    """Start with no shared rank kernels; the memo is put back afterwards."""
-    monkeypatch.setattr(flow, "_shared", (None, None, {}))
-
-
-def test_shared_kernels_rank_every_member_exactly(empty_memo, monkeypatch, small_classes):
+def test_shared_kernels_rank_every_member_exactly(cold_classes, small_classes):
     """Members that are row permutations of each other share one kernel.
     Ranked in enumeration order, and again in a shuffled order at mixed t
     (so one member's partly stepped kernel is extended by another's
@@ -365,7 +360,7 @@ def test_shared_kernels_rank_every_member_exactly(empty_memo, monkeypatch, small
             assert got == want == [t_term_rank(BinaryMatrix(a.rows), t) for t in ts], a
             profiles[a] = want
         searched = find_uniform_minimizer(r, s)
-        monkeypatch.setattr(flow, "_shared", (None, None, {}))
+        clear_kept_classes()
         members = list(enumerate_class(r, s))
         rng.shuffle(members)
         for a in members:
@@ -374,12 +369,12 @@ def test_shared_kernels_rank_every_member_exactly(empty_memo, monkeypatch, small
             t = rng.randint(1, top + 1)
             assert t_term_rank(a, t) == profiles[a][min(t, top) - 1]
             assert list(itertools.islice(t_term_ranks(a), top)) == profiles[a]
-        monkeypatch.setattr(flow, "_shared", (None, None, {}))
+        clear_kept_classes()
         cold = find_uniform_minimizer(r, s)
         assert tuple(searched) == tuple(cold), (r, s)
 
 
-def test_row_permuted_members_share_one_kernel(empty_memo, monkeypatch):
+def test_row_permuted_members_share_one_kernel(cold_classes, monkeypatch):
     r, s = Partition((2, 2, 1, 1)), Partition((2, 2, 2))
     steps = []
     step = flow._RankKernel.step
@@ -408,10 +403,10 @@ def test_row_permuted_members_share_one_kernel(empty_memo, monkeypatch):
     for b in (plain, same, flipped):
         t_term_rank(b, 2)
     assert len({id(b._rank_state) for b in (a, plain, same, flipped)}) == 4
-    assert len(flow._shared[2]) == len(keys)
+    assert len(flow._kept.entry[2]) == len(keys)
 
 
-def test_members_with_one_row_set_in_other_multiplicities_share_nothing(empty_memo):
+def test_members_with_one_row_set_in_other_multiplicities_share_nothing(cold_classes):
     """Two members of one 7x7 class with the same set of rows, taken
     three and two times or two and three times: the first ranks one less
     at t = 1, since its three rows (1,1,0,...) hold two columns between
@@ -435,7 +430,7 @@ def test_members_with_one_row_set_in_other_multiplicities_share_nothing(empty_me
     assert ranked[0]._rank_state is not ranked[1]._rank_state
 
 
-def test_shared_kernels_of_a_class_are_freed_by_the_next(empty_memo, monkeypatch):
+def test_shared_kernels_of_a_class_are_freed_by_the_next(cold_classes, monkeypatch):
     class Kernel(flow._RankKernel):  # a kernel a weakref can point at
         __slots__ = ("__weakref__",)
 
@@ -449,7 +444,7 @@ def test_shared_kernels_of_a_class_are_freed_by_the_next(empty_memo, monkeypatch
     assert kernel() is None
 
 
-def test_shared_memo_knows_a_class_by_its_margins(empty_memo):
+def test_shared_memo_knows_a_class_by_its_margins(cold_classes):
     """Members of two walks of one class, from equal but distinct
     partitions, share kernels; a class that differs only in its column
     sums starts a fresh dict."""
@@ -460,12 +455,12 @@ def test_shared_memo_knows_a_class_by_its_margins(empty_memo):
     assert b.row_sums is not a.row_sums and b.col_sums is not a.col_sums
     t_term_rank(b, 1)
     assert b._rank_state is a._rank_state
-    memo = flow._shared[2]
+    memo = flow._kept.entry[2]
     t_term_rank(next(enumerate_class(r, Partition((2, 1, 1, 1)))), 1)
-    assert flow._shared[2] is not memo and len(flow._shared[2]) == 1
+    assert flow._kept.entry[2] is not memo and len(flow._kept.entry[2]) == 1
 
 
-def test_shared_kernel_memo_stays_within_its_cap(empty_memo, monkeypatch):
+def test_shared_kernel_memo_stays_within_its_cap(cold_classes, monkeypatch):
     monkeypatch.setattr(flow, "_SHARED_CAP", 8)
     r = s = Partition((3,) * 6)
     keys = set()
@@ -473,7 +468,7 @@ def test_shared_kernel_memo_stays_within_its_cap(empty_memo, monkeypatch):
         keys.add(tuple(sorted(a._row_bits)))
         t = len(keys) % 3 + 1
         assert t_term_rank(a, t) == t_term_rank(BinaryMatrix(a.rows), t)
-        assert len(flow._shared[2]) <= 8
+        assert len(flow._kept.entry[2]) <= 8
     assert len(keys) > 8
 
 

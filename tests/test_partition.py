@@ -1,11 +1,15 @@
+import sys
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ars import Partition, conjugate, is_nonempty, iter_partitions, majorized_by, margins_realizable
-from ars.partition import conjugate_counts, decimal_integer
+from ars import construct, flow, structure
+from ars.oracle import enumerate_class
+from ars.partition import KeptClass, clear_kept_classes, conjugate_counts, decimal_integer
 
 from helpers import matrices, partitions
 
@@ -141,6 +145,25 @@ def test_decimal_integer_reads_ascii_digits_only():
         assert str(exc.value) == f"part {text!r} is not an integer in ASCII decimal digits"
 
 
+# the most digits int() converts from text, 0 where it has no limit
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(not INT_DIGITS, reason="int() takes any number of digits")
+
+
+@needs_digit_limit
+def test_decimal_integer_too_long_names_what_and_not_the_digits():
+    """int() refuses over-long text with a hint at a sys setting; the
+    message names what is too long and does not repeat the digits."""
+    digits = "1" * (INT_DIGITS + 1)
+    for text in (digits, "-" + digits):
+        with pytest.raises(ValueError) as exc:
+            decimal_integer(text, "part")
+        assert str(exc.value) == f"part is too long: {len(digits)} digits"
+    with pytest.raises(ValueError, match="^part is too long"):
+        Partition.from_text(f"2,{digits}")
+    assert decimal_integer("1" * INT_DIGITS, "part") == int("1" * INT_DIGITS)
+
+
 def test_from_text_reads_ascii_digits_only():
     for text in ("+2,2", "2,\u0662", "1_0", "2,+1"):
         with pytest.raises(ValueError, match="is not an integer in ASCII decimal digits"):
@@ -224,3 +247,95 @@ def test_hash_survives_pickle_and_copy():
     for clone in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
         assert clone == p and hash(clone) == hash(p) == hash(p.parts)
     assert {Partition((2, 1)): 1}[Partition.from_loose((1, 0, 2))] == 1
+
+
+class _Data:
+    """A build result that a weakref can point at."""
+
+    def __init__(self, r, s):
+        self.pair = (r, s)
+
+
+def _slot():
+    """A fresh KeptClass and the list of the pairs it built."""
+    built = []
+
+    def build(r, s):
+        built.append((r, s))
+        return _Data(r, s)
+
+    return KeptClass(build), built
+
+
+def test_kept_class_hits_an_identical_pair():
+    slot, built = _slot()
+    r, s = Partition((2, 1)), Partition((2, 1))
+    data = slot.get(r, s)
+    entry = slot.entry
+    assert slot.get(r, s) is data and slot.entry is entry
+    assert entry[0] is r and entry[1] is s and entry[2] is data
+    assert built == [(r, s)]
+
+
+def test_kept_class_hands_an_equal_pair_the_slot():
+    """An equal but distinct pair reuses the data and takes over the
+    slot, so its next query is an identity hit; margin tuples work as
+    partitions do."""
+    slot, built = _slot()
+    r, s = Partition((2, 1)), Partition((2, 1))
+    data = slot.get(r, s)
+    for pair in ((Partition(r.parts), s), (r, Partition(s.parts)), (Partition((2, 1)),) * 2):
+        assert slot.get(*pair) is data
+        assert slot.entry[0] is pair[0] and slot.entry[1] is pair[1]
+    assert len(built) == 1
+    margins = slot.get((2, 1), (2, 1))
+    assert slot.get(tuple([2, 1]), tuple([2, 1])) is margins and len(built) == 2
+
+
+def test_kept_class_frees_the_data_of_the_last_class():
+    slot, built = _slot()
+    r, s = Partition((2, 1)), Partition((2, 1))
+    old = weakref.ref(slot.get(r, s))
+    new = slot.get(r, Partition((1, 1, 1)))
+    assert old() is None
+    assert slot.entry[2] is new and new.pair == (r, Partition((1, 1, 1)))
+    assert len(built) == 2
+
+
+def test_kept_class_build_that_raises_leaves_the_slot():
+    def build(r, s):
+        if r != s:
+            raise ValueError("no such class")
+        return _Data(r, s)
+
+    slot = KeptClass(build)
+    r = Partition((2, 1))
+    data = slot.get(r, r)
+    entry = slot.entry
+    with pytest.raises(ValueError, match="no such class"):
+        slot.get(r, Partition((3,)))
+    assert slot.entry is entry and slot.get(r, r) is data
+
+
+def test_clear_kept_classes_empties_every_layer():
+    """One reset empties the structure tables, the canonical shift, the
+    shared rank kernels and any other slot; the next queries answer as
+    before from cold."""
+    r = s = Partition((2, 2, 1))
+    slot, built = _slot()
+    slot.get(r, s)
+
+    def queries():
+        return (
+            structure.cover_frontier(r, s),
+            construct.ryser_canonical(r, s),
+            flow.t_term_rank(next(enumerate_class(r, s)), 2),
+        )
+
+    warm = queries()
+    layers = (structure._kept, construct._kept, flow._kept, slot)
+    assert all(kept.entry[2] is not None for kept in layers)
+    clear_kept_classes()
+    assert all(kept.entry == (None, None, None) for kept in layers)
+    assert queries() == warm
+    assert slot.get(r, s) is not None and len(built) == 2

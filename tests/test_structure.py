@@ -29,13 +29,12 @@ from ars import counterexample, structure
 from ars.errors import BadRange, DimensionTooSmall, EmptyClass, WeightMismatch
 from ars.flow import multi_cover_feasible
 from ars.oracle import brute_phi
-from ars.partition import iter_partitions
+from ars.partition import clear_kept_classes, iter_partitions
 from ars.structure import (
     _drop_last,
     _envelope,
     _extend,
     _lower_hull,
-    clear_table_cache,
     cover_frontier,
     prefix_covers_feasible,
 )
@@ -487,11 +486,11 @@ def _frontier_probes(monkeypatch, r, s):
         probes.append((k, c))
         return cell(tables, k, c, hull)
 
-    clear_table_cache()
+    clear_kept_classes()
     with monkeypatch.context() as patch:
         patch.setattr(structure._ClassTables, "phi_cell", counted)
         front = cover_frontier(r, s)
-    clear_table_cache()
+    clear_kept_classes()
     return front, probes
 
 
@@ -633,33 +632,16 @@ def _copy(p):
     return Partition(p.parts)
 
 
-def test_clear_table_cache_starts_cold():
-    r, s = Partition(R_69.parts), Partition(S_69.parts)
-    assert cover_exists(r, s, 3, 3)
-    last_r, last_s, warm = structure._recent
-    assert last_r is r and last_s is s
-    # equal but distinct partitions reuse the kept tables and take the slot
-    r2, s2 = _copy(r), _copy(s)
-    assert cover_exists(r2, s2, 3, 3)
-    assert structure._recent[0] is r2 and structure._recent[1] is s2
-    assert structure._recent[2] is warm
-    clear_table_cache()
-    assert structure._recent == (None, None, None)
-    assert cover_exists(r, s, 3, 3)
-    assert structure._recent[0] is r and structure._recent[1] is s
-    assert structure._recent[2] is not warm
-
-
 def test_a_new_class_frees_the_kept_tables():
     """Only the most recent class keeps its tables: after queries on
     class A and then on class B, nothing holds A's tables any more."""
-    clear_table_cache()
+    clear_kept_classes()
     assert cover_exists(R_69, S_69, 3, 3)
     assert psi(R_69, S_69, 1, 3, 2, 5) == psi_brute(R_69, S_69, 1, 3, 2, 5)
-    kept = weakref.ref(structure._recent[2])
+    kept = weakref.ref(structure._kept.entry[2])
     assert min_t_term_rank(R_REF, S_REF, 1) == min_t_term_rank(_copy(R_REF), S_REF, 1)
     assert kept() is None
-    assert structure._recent[1] is S_REF
+    assert structure._kept.entry[1] is S_REF
 
 
 def test_interleaved_classes_answer_as_when_cold():
@@ -672,9 +654,9 @@ def test_interleaved_classes_answer_as_when_cold():
     quads = [_random_quad(rng, 12, 12) for _ in range(5)]
     cold = []
     for r, s in (a, b):
-        clear_table_cache()
+        clear_kept_classes()
         cold.append(_class_queries(r, s, quads))
-    clear_table_cache()
+    clear_kept_classes()
     for k, (r, s) in ((0, a), (1, b), (0, a)):
         for pair in ((r, s), (_copy(r), _copy(s)), (r, _copy(s)), (_copy(r), s), (r, s)):
             assert _class_queries(*pair, quads) == cold[k]
@@ -697,7 +679,7 @@ def test_psi_of_repeated_quads_agrees_with_brute():
     r, s = R_69, S_69
     t = structure_matrix(r, s)
     q1, q2 = (1, 3, 2, 5), (2, 4, 3, 6)
-    clear_table_cache()
+    clear_kept_classes()
     first = psi(r, s, *q1)
     assert first == psi_brute(r, s, *q1)
     a, b, c, d = q1
@@ -717,22 +699,23 @@ def test_errors_survive_the_recent_class_slot():
         assert psi(R_69, S_69, 1, 3, 2, 5) == psi_brute(R_69, S_69, 1, 3, 2, 5)
         with pytest.raises(EmptyClass):
             cover_exists(*empty, 1, 1)
-        assert structure._recent[0] is empty[0] and structure._recent[1] is empty[1]
+        last_r, last_s, _ = structure._kept.entry
+        assert last_r is empty[0] and last_s is empty[1]
         with pytest.raises(EmptyClass):
             psi(*empty, 0, 1, 0, 1)
         with pytest.raises(EmptyClass):
             min_t_term_rank(*empty, 1)
         assert not nonempty_by_structure(structure_matrix(*empty))
     assert cover_exists(R_69, S_69, 3, 3)
-    kept = structure._recent
+    kept = structure._kept.entry
     for _ in range(2):
         with pytest.raises(WeightMismatch):
             cover_exists(R_69, Partition((2,)), 0, 1)
         with pytest.raises(WeightMismatch):
             structure_matrix(R_69, Partition((2,)))
     # a pair whose tables cannot be built leaves the kept class in place
-    assert structure._recent is kept
-    assert structure._recent[0] is R_69 and structure._recent[1] is S_69
+    assert structure._kept.entry is kept
+    assert kept[0] is R_69 and kept[1] is S_69
 
 
 @st.composite
