@@ -149,8 +149,8 @@ def _parse_cover(text: str) -> tuple[int, int]:
         raise ValueError(f"bad --cover {text!r}: expected E,F")
     try:
         return decimal_integer(parts[0], "E"), decimal_integer(parts[1], "F")
-    except ValueError:
-        raise ValueError(f"bad --cover {text!r}: expected integers")
+    except ValueError as exc:
+        raise ValueError(f"bad --cover: {exc}")
 
 
 def _cmd_construct_two_cover(args, r: Partition, s: Partition) -> CommandResult:

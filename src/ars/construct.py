@@ -1,23 +1,47 @@
 """Constructive algorithms: the canonical matrix, interchange paths and
 the zero-block construction by column shifting.
 
-One assembler builds a class member carrying the prefix covers (e1, f1)
-and (e2, f2): `two_cover_parts` calls it with two crossing covers and
-`modified_ryser` with both covers equal to (e, f).  Each checks first
-that some class member carries its covers (`structure.cover_exists`,
-`structure.two_cover_exists`) and raises InfeasibleShift when none
-does.  Cover sizes follow `partition.exact_integers`: 2.0 passes as 2,
-and 2.5 raises ValueError.  One column shift, `_shift_columns`, picks
-the rows of every column by one rule: largest live sum, bottommost on
-ties.  By Ryser's lemma that rule fills any realizable margins, so the
-shift itself raises InfeasibleShift on unrealizable ones and the
-residual core needs no Gale-Ryser test.  Every matrix is assembled from
-the shift's column row-lists, with margins known by construction.  The
-normal form of an interchange path is the shift of the shared margins.
-A `partition.KeptClass` slot keeps the most recent margins' shift: its
-column row-lists, their bit masks and the canonical matrix, built
-together.  `ryser_canonical` returns the kept matrix, and a path leg
-from it is empty."""
+One column shift, `_shift_columns`, picks the rows of every column by
+one rule: largest live sum, bottommost on ties.  By Ryser's lemma that
+rule fills any realizable margins, so the shift itself raises
+InfeasibleShift on unrealizable ones and the residual core needs no
+Gale-Ryser test.  Every matrix is assembled from the shift's column
+row-lists, with margins known by construction.
+
+One assembler, `_assemble`, builds a class member carrying the prefix
+covers (e1, f1) and (e2, f2), e1 <= e2 and f1 >= f2: `two_cover_parts`
+calls it with two crossing covers and `modified_ryser` with both covers
+equal to (e, f).  It shifts columns n-1 down to f1 into the first e1
+rows, shifts the transposed margins alike for rows m-1 down to e2 into
+the first f2 columns, and fills the core, rows < e2 by columns < f1,
+with the canonical fill of the residual margins.  It decides its covers
+itself, and raises InfeasibleShift iff no class member carries them:
+
+- When no shift raises, the assembled matrix is a class member, as the
+  weights of a nonempty class agree, with zero blocks where the covers
+  put them.
+- Take a member A that carries the covers.  For each column k >= f1,
+  taken right to left, suppose row i should take k but does not, and
+  row i' should not but does, with i, i' < e1.  The shift took row i
+  over row i', so its live sum is at least that of i', which spends
+  one of its live ones on column k.  Row i then has more live ones left
+  of k than row i', so some column j < k has A[i][j] = 1 and
+  A[i'][j] = 0.  Interchange (i, i'; j, k).  This stays inside rows
+  < e1, which are unrestricted, so every zero block is kept, and A
+  comes to agree with the shift on every column from k on.  So the
+  shift finds its ones, and no row keeps more live ones than columns
+  left to hold them.
+- The transposed shift works the same way inside columns < f2.
+- The core is a full rectangle, and A's core holds its residual
+  margins, so Ryser's canonical fill realizes them.
+
+Cover sizes are read by `partition.prefix_cover`: 2.0 passes as 2, 2.5
+or anything but a pair raises ValueError, and an off-grid pair
+BadRange.  The normal form of an interchange path is the shift of the
+shared margins.  A `partition.KeptClass` slot keeps the most recent
+margins' shift: its column row-lists, their bit masks and the canonical
+matrix, built together.  `ryser_canonical` returns the kept matrix, and
+a path leg from it is empty."""
 
 from __future__ import annotations
 
@@ -26,16 +50,8 @@ from itertools import compress
 from typing import NamedTuple
 
 from .binmat import BinaryMatrix
-from .errors import (
-    BadCoverOrder,
-    BadRange,
-    EmptyClass,
-    InfeasibleShift,
-    NotSameClass,
-    VerificationFailed,
-)
-from .partition import KeptClass, Partition, exact_integers, is_nonempty
-from . import structure
+from .errors import BadCoverOrder, EmptyClass, InfeasibleShift, NotSameClass, VerificationFailed
+from .partition import KeptClass, Partition, is_nonempty, prefix_cover
 
 
 def _descending_order(seq: Sequence[int]) -> list[int]:
@@ -81,12 +97,10 @@ def canonical_column_submatrix(
     n-1 down to f, and returns the accumulated e-by-(n-f) block together
     with its row-sum sequence.  Raises InfeasibleShift when some column
     cannot collect its ones from the live rows, which signals that the
-    requested cover shape is unreachable by this construction.
+    requested cover shape is unreachable by this construction.  e and f
+    are read by `partition.prefix_cover`.
     """
-    m, n = len(r), len(s)
-    e, f = exact_integers((e, f), "cover sizes")
-    if not (0 <= e <= m and 0 <= f <= n):
-        raise BadRange(f"need 0 <= e <= {m} and 0 <= f <= {n}, got e={e}, f={f}")
+    e, f = prefix_cover((e, f), len(r), len(s))
     block = BinaryMatrix.from_column_sets(*_shift_columns(r.parts, s.parts, e, f), s.parts[f:])
     return block, block.row_sums
 
@@ -104,13 +118,17 @@ class _Shift:
 _kept = KeptClass(_Shift)
 
 
+def _require_nonempty(r: Partition, s: Partition) -> None:
+    if not is_nonempty(r, s):
+        raise EmptyClass(f"no matrix has row sums {r.parts} and column sums {s.parts}")
+
+
 def ryser_canonical(r: Partition, s: Partition) -> BinaryMatrix:
     """The canonical matrix of the class: start from left-justified rows
     and shift each column's ones into place, rightmost column first,
     always drawing from the rows of largest remaining sum.  It is kept
     with the shift until another class is asked about."""
-    if not is_nonempty(r, s):
-        raise EmptyClass(f"no matrix has row sums {r.parts} and column sums {s.parts}")
+    _require_nonempty(r, s)
     return _kept.get(r.parts, s.parts).matrix
 
 
@@ -145,15 +163,11 @@ def modified_ryser(r: Partition, s: Partition, e: int, f: int) -> BinaryMatrix:
     n..f+1 within the first e rows, the bottom-left block from the
     transposed construction on the first f columns, and the top-left
     block is a canonical fill of the leftover margins.  Raises
-    InfeasibleShift when no class member has this cover (see
-    structure.cover_exists).  e and f follow `partition.exact_integers`
-    (2.0 passes as 2; 2.5 raises ValueError).
+    EmptyClass for an empty class and InfeasibleShift when no class
+    member has this cover (see the module docstring).  e and f are read
+    by `partition.prefix_cover`.
     """
-    e, f = exact_integers((e, f), "cover sizes")
-    if not structure.cover_exists(r, s, e, f):
-        raise InfeasibleShift(
-            f"no class member is covered by its first {e} rows and first {f} columns"
-        )
+    e, f = prefix_cover((e, f), len(r), len(s))
     cols = _assemble(r, s, (e, f), (e, f))[0]
     return BinaryMatrix.from_column_sets(cols, r.parts, s.parts)
 
@@ -179,14 +193,10 @@ class TwoCoverParts(NamedTuple):
 def _normalize_covers(
     cover_a: tuple[int, int], cover_b: tuple[int, int], m: int, n: int
 ) -> tuple[tuple[int, int], tuple[int, int]]:
-    cover_a, cover_b = (exact_integers(tuple(cover), "cover sizes") for cover in (cover_a, cover_b))
-    for e, f in (cover_a, cover_b):
-        if not (0 <= e <= m and 0 <= f <= n):
-            raise BadRange(f"cover ({e},{f}) out of range for {m}x{n}")
-    (ea, fa), (eb, fb) = cover_a, cover_b
-    if ea == eb or fa == fb:
-        raise BadCoverOrder(f"covers {cover_a} and {cover_b} do not cross")
-    wide, tall = ((ea, fa), (eb, fb)) if ea < eb else ((eb, fb), (ea, fa))
+    a, b = prefix_cover(cover_a, m, n), prefix_cover(cover_b, m, n)
+    if a[0] == b[0] or a[1] == b[1]:
+        raise BadCoverOrder(f"covers {a} and {b} do not cross")
+    wide, tall = (a, b) if a[0] < b[0] else (b, a)
     if wide[1] <= tall[1]:
         raise BadCoverOrder(
             f"cover {wide} dominates {tall}; use the single-cover construction"
@@ -199,18 +209,30 @@ def _assemble(
 ) -> tuple:
     """The zero-block assembly for covers (e1, f1) and (e2, f2) with
     e1 <= e2 and f1 >= f2; equal covers give the single-cover case.
+    Raises EmptyClass for an empty class, and InfeasibleShift iff no
+    class member carries the covers (see the module docstring).
     Column j < f1 is core column j plus each row e2 + k whose column-block
     column k holds j; column j >= f1 comes from the row block.  Returns
     the assembled matrix's column row-lists, then the pieces only
     two_cover_parts turns into matrices: the row block and the column
     block (column row-lists and row sums), the residual margins and the
     canonical core as `_residual_core` gives it."""
+    _require_nonempty(r, s)
     (e1, f1), (e2, f2) = cover_wide, cover_tall
-    row_cols, rhat = _shift_columns(r.parts, s.parts, e1, f1)
-    col_cols, shat = _shift_columns(s.parts, r.parts, f2, e2)
-    rbar = [r[i] - (rhat[i] if i < e1 else 0) for i in range(e2)]
-    sbar = [s[j] - (shat[j] if j < f2 else 0) for j in range(f1)]
-    cols, canonical_core = _residual_core(rbar, sbar)
+    try:
+        row_cols, rhat = _shift_columns(r.parts, s.parts, e1, f1)
+        col_cols, shat = _shift_columns(s.parts, r.parts, f2, e2)
+        rbar = [r[i] - (rhat[i] if i < e1 else 0) for i in range(e2)]
+        sbar = [s[j] - (shat[j] if j < f2 else 0) for j in range(f1)]
+        cols, canonical_core = _residual_core(rbar, sbar)
+    except InfeasibleShift:
+        if cover_wide == cover_tall:
+            raise InfeasibleShift(
+                f"no class member is covered by its first {e1} rows and first {f1} columns"
+            ) from None
+        raise InfeasibleShift(
+            f"no class member carries covers ({e1},{f1}) and ({e2},{f2}) simultaneously"
+        ) from None
     for i, row in enumerate(col_cols, e2):
         for j in row:
             cols[j].append(i)
@@ -231,15 +253,12 @@ def two_cover_parts(
       4. fill the core with the canonical matrix of the sorted residuals,
          un-permuted back into place.
     The result has zero blocks exactly where the two covers require them.
-    Raises InfeasibleShift when no class member carries both covers (see
-    structure.two_cover_exists).
+    Raises EmptyClass for an empty class and InfeasibleShift when no
+    class member carries both covers (see the module docstring).  Each
+    cover is read by `partition.prefix_cover`.
     """
     wide, tall = _normalize_covers(cover_a, cover_b, len(r), len(s))
     (e1, f1), (e2, f2) = wide, tall
-    if not structure.two_cover_exists(r, s, e1, e2, f2, f1):
-        raise InfeasibleShift(
-            f"no class member carries covers ({e1},{f1}) and ({e2},{f2}) simultaneously"
-        )
     cols, row_block, col_block, rbar, sbar, core = _assemble(r, s, wide, tall)
     return TwoCoverParts(
         cover_wide=wide,
@@ -320,9 +339,10 @@ def construct_uniform_minimizer(r: Partition, s: Partition, t: int) -> BinaryMat
     Returns None when the conditions fail.  The built matrix is verified
     rank by rank; a mismatch raises VerificationFailed since it would
     mean the construction itself is broken.  It alone imports the flow
-    layer, when called, so the other constructions load none of it.
+    and structure layers, when called, so the other constructions load
+    neither.
     """
-    from . import flow
+    from . import flow, structure
 
     hyp = structure.uniform_minimizer_hypotheses(r, s, t)
     if not hyp.holds:

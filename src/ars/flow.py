@@ -44,7 +44,7 @@ from itertools import compress, count
 
 from .binmat import BinaryMatrix, CoverSpec
 from .errors import DimensionMismatch
-from .partition import KeptClass, Partition, positive_integer
+from .partition import KeptClass, Partition, positive_integer, prefix_cover
 
 
 class FlowNetwork:
@@ -346,8 +346,9 @@ def multi_cover_feasible(
     """Search for a class member carrying every given cover at once.
 
     A cover is a CoverSpec, with explicit rows and columns or the prefix
-    ones, or else an (e, f) pair meaning the prefix cover (ValueError
-    otherwise; DimensionMismatch outside the grid).  A row lying in
+    ones (DimensionMismatch outside the grid), or else an (e, f) pair
+    meaning the prefix cover, read by `partition.prefix_cover`
+    (ValueError for anything else, BadRange off the grid).  A row lying in
     every cover's row set is unrestricted; any other row may hold 1s only
     in the columns shared by the covers that miss it.  Feasibility then
     reduces to a margin problem inside that 0/1 mask, and a returned
@@ -358,11 +359,7 @@ def multi_cover_feasible(
     sets = []
     for cover in covers:
         if not isinstance(cover, CoverSpec):
-            try:
-                e, f = cover
-            except (TypeError, ValueError):
-                raise ValueError(f"a cover is a CoverSpec or an (e, f) pair, got {cover!r}") from None
-            cover = CoverSpec(e, f)
+            cover = CoverSpec(*prefix_cover(cover, m, n))
         sets.append((cover.row_set(m), cover.col_set(n)))
     every_col = frozenset(range(n))
     c = []

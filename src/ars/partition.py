@@ -1,11 +1,14 @@
 """Partitions (nonincreasing positive integer vectors), conjugation by one
 walk (`conjugate_counts`), majorization, the Gale-Ryser nonemptiness
-test by one count of the rows (`rows_fit`), and the class slot `KeptClass`."""
+test by one count of the rows (`rows_fit`), the class slot `KeptClass`,
+and the one reader of a prefix cover's (e, f) pair, `prefix_cover`."""
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import accumulate
+
+from .errors import BadRange
 
 
 class Partition:
@@ -80,6 +83,22 @@ def exact_integers(given: tuple, what: str) -> tuple[int, ...]:
     if ints != given:
         raise ValueError(f"{what} must be integers, got {given!r}")
     return ints
+
+
+def prefix_cover(cover, m: int, n: int) -> tuple[int, int]:
+    """cover as the sizes (e, f) of a prefix cover of an m-by-n matrix:
+    its first e rows and first f columns.  Anything but a pair raises
+    ValueError, the sizes follow `exact_integers` (2.0 passes as 2; 2.5
+    raises ValueError), and 0 <= e <= m and 0 <= f <= n, else BadRange."""
+    try:
+        e, f = cover
+    except (TypeError, ValueError):
+        raise ValueError(f"a cover is an (e, f) pair, got {cover!r}") from None
+    if e.__class__ is not int or f.__class__ is not int:
+        e, f = exact_integers((e, f), "cover sizes")
+    if not (0 <= e <= m and 0 <= f <= n):
+        raise BadRange(f"cover ({e},{f}) out of range for {m}x{n}")
+    return e, f
 
 
 def decimal_integer(text: str, what: str) -> int:

@@ -80,7 +80,7 @@ from typing import NamedTuple
 
 from .errors import BadRange, DimensionTooSmall, EmptyClass, WeightMismatch
 from .partition import KeptClass, Partition, conjugate_counts, exact_integers, is_nonempty
-from .partition import positive_integer
+from .partition import positive_integer, prefix_cover
 
 
 class StructureTable:
@@ -367,12 +367,12 @@ def cover_exists(r: Partition, s: Partition, e: int, f: int) -> bool:
     """True iff some class member has all its 1s inside the first e rows
     and first f columns, i.e. phi[e][f] == t[e][f].  Feasibility is
     upward closed in e and f, so this is f >= cover_frontier(r, s)[e].
-    e and f follow `partition.exact_integers` (2.0 passes as 2; 2.5
-    raises ValueError)."""
-    if e.__class__ is not int or f.__class__ is not int:
-        e, f = exact_integers((e, f), "cover sizes")
-    if not (0 <= e <= len(r.parts) and 0 <= f <= len(s.parts)):
-        raise BadRange(f"cover ({e},{f}) out of range for {len(r)}x{len(s)}")
+    e and f are read as by `partition.prefix_cover` (2.0 passes as 2;
+    2.5 raises ValueError, and an off-grid pair BadRange); int sizes on
+    the grid skip the call."""
+    m, n = len(r.parts), len(s.parts)
+    if e.__class__ is not int or f.__class__ is not int or not (0 <= e <= m and 0 <= f <= n):
+        e, f = prefix_cover((e, f), m, n)
     last_r, last_s, tables = _kept.entry  # one read, see KeptClass
     if last_r is not r or last_s is not s or not tables.nonempty:
         tables = _nonempty_tables(r, s)  # a class change, or an empty class
@@ -502,22 +502,15 @@ def prefix_covers_feasible(r: Partition, s: Partition, covers) -> bool:
     within a band the best J takes a leftmost block; the scan does not
     need that.)  O(n^2 + mn) in all.
 
-    Each cover is an (e, f) pair with 0 <= e <= m and 0 <= f <= n
-    (BadRange otherwise), following `partition.exact_integers`.  A
-    class whose weights differ is empty, so it carries no family.
+    Each cover is an (e, f) pair read by `partition.prefix_cover`
+    (ValueError for anything else, BadRange off the grid).  A class
+    whose weights differ is empty, so it carries no family.
     """
     m, n = len(r), len(s)
     # least_f[e] = the least f among the covers of e rows
     least_f = [n] * (m + 1)
     for cover in covers:
-        try:
-            e, f = cover
-        except (TypeError, ValueError):
-            raise ValueError(f"a cover is an (e, f) pair, got {cover!r}") from None
-        if e.__class__ is not int or f.__class__ is not int:
-            e, f = exact_integers((e, f), "cover sizes")
-        if not (0 <= e <= m and 0 <= f <= n):
-            raise BadRange(f"cover ({e},{f}) out of range for {m}x{n}")
+        e, f = prefix_cover(cover, m, n)
         least_f[e] = min(least_f[e], f)
     if r.weight != s.weight:
         return False

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import re
 from unittest import mock
@@ -17,6 +18,7 @@ from ars import (
     cover_exists,
     in_class,
     interchange_path,
+    is_nonempty,
     is_covered,
     min_t_term_rank,
     modified_ryser,
@@ -36,6 +38,7 @@ from ars.errors import (
     InvalidInterchange,
     NotSameClass,
     VerificationFailed,
+    WeightMismatch,
 )
 from ars.partition import clear_kept_classes
 from ars.structure import cover_frontier
@@ -155,21 +158,86 @@ def test_modified_ryser_square_cover_on_worked_pair():
     assert is_covered(a, CoverSpec.prefix(3, 3))
 
 
+def _sized_cases():
+    """Seeded cases for the construction sweeps: 100 classes of 8x8 to
+    30x30 at density 0.15-0.5, each with 20 prefix covers and 20
+    crossing pairs whose column counts lie near the cover frontier, so
+    both outcomes occur.  Yields (r, s, covers, pairs)."""
+    rng = random.Random(20261020)
+    for _ in range(100):
+        m, n = rng.randint(8, 30), rng.randint(8, 30)
+        r, s = _profile_class(rng, m, n)
+        front = cover_frontier(r, s)
+
+        def near(e):
+            return min(n, max(0, front[e] + rng.randint(-2, 1)))
+
+        covers = [(e, near(e)) for e in (rng.randint(0, m) for _ in range(20))]
+        pairs = []
+        for _ in range(20):
+            e1, e2 = sorted(rng.sample(range(m + 1), 2))
+            f2 = min(n - 1, near(e2))
+            pairs.append(((e1, max(f2 + 1, near(e1))), (e2, f2)))
+        yield r, s, covers, pairs
+
+
+def _check_single_cover(r, s, e, f):
+    """modified_ryser builds a member with the cover iff cover_exists;
+    returns the verdict."""
+    if not cover_exists(r, s, e, f):
+        with pytest.raises(InfeasibleShift, match=re.escape(
+            f"no class member is covered by its first {e} rows and first {f} columns"
+        )):
+            modified_ryser(r, s, e, f)
+        return False
+    a = modified_ryser(r, s, e, f)
+    assert in_class(a, r, s)
+    assert is_covered(a, CoverSpec.prefix(e, f))
+    return True
+
+
+def _check_two_covers(r, s, wide, tall):
+    """two_cover_matrix builds a member with both covers iff
+    two_cover_exists; returns the verdict."""
+    (e1, f1), (e2, f2) = wide, tall
+    if not two_cover_exists(r, s, e1, e2, f2, f1):
+        with pytest.raises(InfeasibleShift, match=re.escape(
+            f"no class member carries covers ({e1},{f1}) and ({e2},{f2}) simultaneously"
+        )):
+            two_cover_matrix(r, s, wide, tall)
+        return False
+    a = two_cover_matrix(r, s, wide, tall)
+    assert in_class(a, r, s)
+    assert is_covered(a, CoverSpec.prefix(e1, f1))
+    assert is_covered(a, CoverSpec.prefix(e2, f2))
+    return True
+
+
+def _check_empty(r, s, criterion):
+    """An empty class, or margins whose weights differ: the constructions
+    raise EmptyClass, and the criterion is no answer either."""
+    m, n = len(r), len(s)
+    with pytest.raises(EmptyClass):
+        modified_ryser(r, s, m, n)
+    with pytest.raises(EmptyClass):
+        two_cover_matrix(r, s, (0, n), (m, 0))
+    with pytest.raises(criterion):
+        cover_exists(r, s, m, n)
+    with pytest.raises(criterion):
+        two_cover_exists(r, s, 0, m, 0, n)
+
+
 def test_modified_ryser_sweep(small_classes):
     for (r, s) in small_classes:
-        m, n = len(r), len(s)
-        for e in range(m + 1):
-            for f in range(n + 1):
-                if not cover_exists(r, s, e, f):
-                    with pytest.raises(InfeasibleShift, match=re.escape(
-                        f"no class member is covered by its first {e} rows "
-                        f"and first {f} columns"
-                    )):
-                        modified_ryser(r, s, e, f)
-                    continue
-                a = modified_ryser(r, s, e, f)
-                assert in_class(a, r, s)
-                assert is_covered(a, CoverSpec.prefix(e, f))
+        for e in range(len(r) + 1):
+            for f in range(len(s) + 1):
+                _check_single_cover(r, s, e, f)
+    verdicts = [
+        _check_single_cover(r, s, e, f)
+        for r, s, covers, _ in _sized_cases()
+        for e, f in covers
+    ]
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_two_cover_golden_and_parts():
@@ -224,23 +292,29 @@ def test_two_cover_rejects_non_crossing():
 
 
 def test_two_cover_sweep(small_classes):
-    import itertools
-
     for (r, s) in small_classes:
-        m, n = len(r), len(s)
-        for e1, e2 in itertools.combinations(range(m + 1), 2):
-            for f2, f1 in itertools.combinations(range(n + 1), 2):
-                if not two_cover_exists(r, s, e1, e2, f2, f1):
-                    with pytest.raises(InfeasibleShift, match=re.escape(
-                        f"no class member carries covers ({e1},{f1}) and "
-                        f"({e2},{f2}) simultaneously"
-                    )):
-                        two_cover_matrix(r, s, (e1, f1), (e2, f2))
-                    continue
-                a = two_cover_matrix(r, s, (e1, f1), (e2, f2))
-                assert in_class(a, r, s)
-                assert is_covered(a, CoverSpec.prefix(e1, f1))
-                assert is_covered(a, CoverSpec.prefix(e2, f2))
+        for e1, e2 in itertools.combinations(range(len(r) + 1), 2):
+            for f2, f1 in itertools.combinations(range(len(s) + 1), 2):
+                _check_two_covers(r, s, (e1, f1), (e2, f2))
+    verdicts = [
+        _check_two_covers(r, s, wide, tall)
+        for r, s, _, pairs in _sized_cases()
+        for wide, tall in pairs
+    ]
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_constructions_on_empty_classes(small_pairs):
+    """Every empty class of the small pairs, and seeded margins whose
+    weights differ by one: the constructions raise EmptyClass, as
+    ryser_canonical does, where the structure layer raises EmptyClass or
+    WeightMismatch."""
+    empty = [(r, s) for r, s in small_pairs if not is_nonempty(r, s)]
+    assert empty
+    for r, s in empty:
+        _check_empty(r, s, EmptyClass)
+    for r, s, _, _ in itertools.islice(_sized_cases(), 20):
+        _check_empty(r, Partition((s[0] + 1, *s.parts[1:])), WeightMismatch)
 
 
 def _block_record(block):

@@ -20,7 +20,7 @@ from ars import (
     t_term_ranks,
 )
 from ars.binmat import CoverSpec
-from ars.errors import DimensionMismatch
+from ars.errors import BadRange, DimensionMismatch
 from ars.flow import FlowNetwork
 from ars.oracle import brute_t_term_rank, brute_t_term_ranks, min_cover_values
 
@@ -443,7 +443,12 @@ def test_multi_cover_explicit_sets_match_enumeration(small_classes):
 
 
 def test_multi_cover_range_check():
-    for cover in ((2, 0), (0, 2), CoverSpec(1, 0, rows=(1,)), CoverSpec(0, 1, cols=(3,))):
+    """An off-grid (e, f) pair is BadRange, as in every other layer; a
+    CoverSpec outside the grid is DimensionMismatch."""
+    for cover in ((2, 0), (0, 2), (-1, 0)):
+        with pytest.raises(BadRange):
+            multi_cover_feasible(Partition((1,)), Partition((1,)), [cover])
+    for cover in (CoverSpec(2, 0), CoverSpec(1, 0, rows=(1,)), CoverSpec(0, 1, cols=(3,))):
         with pytest.raises(DimensionMismatch):
             multi_cover_feasible(Partition((1,)), Partition((1,)), [cover])
 

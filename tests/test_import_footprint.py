@@ -41,7 +41,7 @@ BASE = {"ars", "ars.cli", "ars.errors", "ars.partition"}
 UNUSED_STDLIB = {"argparse", "gettext", "locale", "_locale", "dataclasses", "inspect"}
 TABLES = BASE | {"ars.structure"}
 
-CONSTRUCT = BASE | {"ars.binmat", "ars.construct", "ars.structure"}
+CONSTRUCT = BASE | {"ars.binmat", "ars.construct"}
 
 # the seven commands of the cli_calls benchmark workload, a rank call
 # small enough for the brute-force cross-check, and the other commands

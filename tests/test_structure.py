@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 import weakref
 
 import pytest
@@ -23,13 +24,14 @@ from ars import (
     structure_matrix,
     two_cover_exists,
     two_cover_matrix,
+    two_cover_parts,
     uniform_minimizer_hypotheses,
 )
 from ars import counterexample, structure
 from ars.errors import BadRange, DimensionTooSmall, EmptyClass, WeightMismatch
 from ars.flow import multi_cover_feasible
 from ars.oracle import brute_phi
-from ars.partition import clear_kept_classes, iter_partitions
+from ars.partition import clear_kept_classes, iter_partitions, prefix_cover
 from ars.structure import (
     _drop_last,
     _envelope,
@@ -192,7 +194,10 @@ def test_structure_t_follows_the_integer_rule():
 def test_cover_sizes_follow_the_integer_rule():
     """cover_exists, psi, two_cover_exists and the cover constructions take an
     integral float as its int and refuse a fraction; 2.5 once answered
-    True, and modified_ryser failed with a TypeError deep in its shift."""
+    True, and modified_ryser failed with a TypeError deep in its shift.
+    A cover that is not a pair is a ValueError wherever a pair is read
+    (two_cover_matrix once raised TypeError for 5), and an off-grid pair
+    is BadRange in every layer."""
     r, s = R_69, S_69
     assert cover_exists(r, s, 2.0, 4) == cover_exists(r, s, 2, 4.0) == cover_exists(r, s, 2, 4)
     assert psi(r, s, 1.0, 3, 2.0, 5) == psi(r, s, 1, 3, 2, 5) == psi_brute(r, s, 1, 3, 2, 5)
@@ -217,6 +222,25 @@ def test_cover_sizes_follow_the_integer_rule():
             two_cover_matrix(r, s, (1, 5), (2, bad))
     with pytest.raises(ValueError):
         psi(r, s, 0.5, 2, 0, 2)
+    pair_readers = (
+        lambda cover: prefix_cover(cover, len(r), len(s)),
+        lambda cover: prefix_covers_feasible(r, s, [cover]),
+        lambda cover: multi_cover_feasible(r, s, [cover]),
+        lambda cover: two_cover_parts(r, s, (1, 5), cover),
+        lambda cover: two_cover_matrix(r, s, cover, (2, 4)),
+    )
+    off_grid = re.escape("cover (8,1) out of range for 7x9")
+    for read in pair_readers:
+        for bad in (5, None, (1, 2, 3)):
+            with pytest.raises(ValueError) as caught:
+                read(bad)
+            assert caught.type is ValueError
+            assert str(caught.value) == f"a cover is an (e, f) pair, got {bad!r}"
+        with pytest.raises(BadRange, match=off_grid):
+            read((8, 1))
+    for sized in (cover_exists, modified_ryser, canonical_column_submatrix):
+        with pytest.raises(BadRange, match=off_grid):
+            sized(r, s, 8, 1)
 
 
 def test_cover_exists_reference():
