@@ -7,8 +7,8 @@ from collections.abc import Iterable, Iterator, Sequence
 from itertools import product
 from typing import NamedTuple
 
-from .errors import DimensionMismatch, InvalidInterchange
-from .partition import Partition, decimal_integer, exact_integers
+from .errors import BadRange, InvalidInterchange
+from .partition import Partition, decimal_integer, exact_integers, prefix_cover
 
 # maps each entry equal to 0 or 1 (False, True, 1.0, ...) to that int
 _BIT = {0: 0, 1: 1}.__getitem__
@@ -200,7 +200,7 @@ def _cover_indices(idx: Iterable[int] | None, size: int, name: str) -> tuple[int
     if len(idx) != size:
         raise ValueError(f"{name} set size disagrees with declared count")
     if idx and min(idx) < 0:
-        raise ValueError(f"negative index in {name}")
+        raise BadRange(f"negative index in {name}")
     return idx
 
 
@@ -216,7 +216,8 @@ class CoverSpec(_CoverFields):
     prefix rows 0..e-1 and columns 0..f-1 are meant.  The sizes and the
     explicit indices follow `partition.exact_integers`: 2.0 passes and is
     stored as 2, 1.9 and "2" raise ValueError.  Explicit indices are
-    stored as a tuple."""
+    stored as a tuple.  A negative size or index raises BadRange, as
+    does an index off the grid when `cover_sets` reads the cover."""
 
     __slots__ = ()
 
@@ -229,7 +230,7 @@ class CoverSpec(_CoverFields):
     ) -> "CoverSpec":
         e, f = exact_integers((e, f), "cover sizes")
         if e < 0 or f < 0:
-            raise ValueError("cover sizes must be nonnegative")
+            raise BadRange("cover sizes must be nonnegative")
         rows = _cover_indices(rows, e, "rows")
         cols = _cover_indices(cols, f, "cols")
         return super().__new__(cls, e, f, rows, cols)
@@ -237,24 +238,6 @@ class CoverSpec(_CoverFields):
     @classmethod
     def prefix(cls, e: int, f: int) -> "CoverSpec":
         return cls(e=e, f=f)
-
-    def row_set(self, m: int) -> frozenset[int]:
-        if self.rows is None:
-            if self.e > m:
-                raise DimensionMismatch("cover has more rows than the matrix")
-            return frozenset(range(self.e))
-        if any(i >= m for i in self.rows):
-            raise DimensionMismatch("row index out of range")
-        return frozenset(self.rows)
-
-    def col_set(self, n: int) -> frozenset[int]:
-        if self.cols is None:
-            if self.f > n:
-                raise DimensionMismatch("cover has more columns than the matrix")
-            return frozenset(range(self.f))
-        if any(j >= n for j in self.cols):
-            raise DimensionMismatch("column index out of range")
-        return frozenset(self.cols)
 
 
 def in_class(a: BinaryMatrix, r: Partition | Sequence[int], s: Partition | Sequence[int]) -> bool:
@@ -287,8 +270,28 @@ def apply_interchange(a: BinaryMatrix, i1: int, i2: int, j1: int, j2: int) -> Bi
     return b
 
 
-def is_covered(a: BinaryMatrix, cover: CoverSpec) -> bool:
-    """True iff every 1 of a lies in a covered row or covered column."""
-    rows = cover.row_set(a.m)
-    cols = cover.col_set(a.n)
+def cover_sets(
+    cover: CoverSpec | tuple[int, int], m: int, n: int
+) -> tuple[frozenset[int], frozenset[int]]:
+    """The covered rows and the covered columns of an m-by-n matrix:
+    the one reader of both cover forms.  A CoverSpec gives its explicit
+    index sets, or the prefix ranges where a set is None; anything else
+    is an (e, f) pair, read by `partition.prefix_cover` (ValueError for
+    anything but a pair), meaning the first e rows and first f columns.
+    A cover off the grid, in either form, raises BadRange."""
+    if not isinstance(cover, CoverSpec):
+        e, f = prefix_cover(cover, m, n)
+        return frozenset(range(e)), frozenset(range(f))
+    e, f, rows, cols = cover
+    rows = range(e) if rows is None else rows
+    cols = range(f) if cols is None else cols
+    if max(rows, default=-1) >= m or max(cols, default=-1) >= n:
+        raise BadRange(f"cover {cover!r} out of range for {m}x{n}")
+    return frozenset(rows), frozenset(cols)
+
+
+def is_covered(a: BinaryMatrix, cover: CoverSpec | tuple[int, int]) -> bool:
+    """True iff every 1 of a lies in a covered row or covered column;
+    the cover is read by `cover_sets`."""
+    rows, cols = cover_sets(cover, a.m, a.n)
     return all(i in rows or j in cols for i, j in a.ones())

@@ -146,7 +146,7 @@ def _cmd_construct_cover(args, r: Partition, s: Partition) -> CommandResult:
 def _parse_cover(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise ValueError(f"bad --cover {text!r}: expected E,F")
+        raise ValueError(f"bad --cover: expected two items E,F, got {len(parts)}")
     try:
         return decimal_integer(parts[0], "E"), decimal_integer(parts[1], "F")
     except ValueError as exc:

@@ -50,8 +50,8 @@ from itertools import compress
 from typing import NamedTuple
 
 from .binmat import BinaryMatrix
-from .errors import BadCoverOrder, EmptyClass, InfeasibleShift, NotSameClass, VerificationFailed
-from .partition import KeptClass, Partition, is_nonempty, prefix_cover
+from .errors import BadCoverOrder, InfeasibleShift, NotSameClass, VerificationFailed
+from .partition import KeptClass, Partition, prefix_cover, require_nonempty
 
 
 def _descending_order(seq: Sequence[int]) -> list[int]:
@@ -118,17 +118,12 @@ class _Shift:
 _kept = KeptClass(_Shift)
 
 
-def _require_nonempty(r: Partition, s: Partition) -> None:
-    if not is_nonempty(r, s):
-        raise EmptyClass(f"no matrix has row sums {r.parts} and column sums {s.parts}")
-
-
 def ryser_canonical(r: Partition, s: Partition) -> BinaryMatrix:
     """The canonical matrix of the class: start from left-justified rows
     and shift each column's ones into place, rightmost column first,
     always drawing from the rows of largest remaining sum.  It is kept
     with the shift until another class is asked about."""
-    _require_nonempty(r, s)
+    require_nonempty(r, s)
     return _kept.get(r.parts, s.parts).matrix
 
 
@@ -217,7 +212,7 @@ def _assemble(
     two_cover_parts turns into matrices: the row block and the column
     block (column row-lists and row sums), the residual margins and the
     canonical core as `_residual_core` gives it."""
-    _require_nonempty(r, s)
+    require_nonempty(r, s)
     (e1, f1), (e2, f2) = cover_wide, cover_tall
     try:
         row_cols, rhat = _shift_columns(r.parts, s.parts, e1, f1)

@@ -1,8 +1,14 @@
 """Exception types shared across the toolkit.  A class's bases give its
 command-line outcome: an Infeasible is an answer, "no such matrix"
-(exit 0); a ValueError, like the plain ones raised for t < 1 or a bad
-CoverSpec, is a usage error (exit 2); VerificationFailed, the only
-other kind, is an internal fault (status error, exit 1)."""
+(exit 0); a ValueError, like the plain one raised for t < 1, is a usage
+error (exit 2); VerificationFailed, the only other kind, is an internal
+fault (status error, exit 1).
+
+A bad cover raises the same class in either form, an (e, f) pair or a
+CoverSpec (see `binmat.cover_sets`): anything but a pair, a size or
+index that is not an integer, or an index set with duplicates or of the
+wrong size is a plain ValueError; a negative size or index, or one off
+the m-by-n grid, is BadRange."""
 
 
 class ArsError(Exception):

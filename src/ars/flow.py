@@ -42,9 +42,9 @@ from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import compress, count
 
-from .binmat import BinaryMatrix, CoverSpec
+from .binmat import BinaryMatrix, CoverSpec, cover_sets
 from .errors import DimensionMismatch
-from .partition import KeptClass, Partition, positive_integer, prefix_cover
+from .partition import KeptClass, Partition, positive_integer
 
 
 class FlowNetwork:
@@ -346,21 +346,17 @@ def multi_cover_feasible(
     """Search for a class member carrying every given cover at once.
 
     A cover is a CoverSpec, with explicit rows and columns or the prefix
-    ones (DimensionMismatch outside the grid), or else an (e, f) pair
-    meaning the prefix cover, read by `partition.prefix_cover`
-    (ValueError for anything else, BadRange off the grid).  A row lying in
-    every cover's row set is unrestricted; any other row may hold 1s only
-    in the columns shared by the covers that miss it.  Feasibility then
-    reduces to a margin problem inside that 0/1 mask, and a returned
-    matrix certifies all the covers at once.  Absence says nothing about
-    covers of the same sizes in other positions.
+    ones, or else an (e, f) pair meaning the prefix cover; both are read
+    by `binmat.cover_sets` (ValueError for anything else, BadRange off
+    the grid in either form).  A row lying in every cover's row set is
+    unrestricted; any other row may hold 1s only in the columns shared
+    by the covers that miss it.  Feasibility then reduces to a margin
+    problem inside that 0/1 mask, and a returned matrix certifies all
+    the covers at once.  Absence says nothing about covers of the same
+    sizes in other positions.
     """
     m, n = len(r), len(s)
-    sets = []
-    for cover in covers:
-        if not isinstance(cover, CoverSpec):
-            cover = CoverSpec(*prefix_cover(cover, m, n))
-        sets.append((cover.row_set(m), cover.col_set(n)))
+    sets = [cover_sets(cover, m, n) for cover in covers]
     every_col = frozenset(range(n))
     c = []
     for i in range(m):

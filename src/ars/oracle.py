@@ -13,8 +13,8 @@ from collections.abc import Iterator
 from typing import NamedTuple
 
 from .binmat import BinaryMatrix, CoverSpec
-from .errors import EmptyClass
-from .partition import Partition, exact_integers, is_nonempty, positive_integer, rows_fit
+from .partition import Partition, exact_integers, is_nonempty, positive_integer, require_nonempty
+from .partition import rows_fit
 
 
 def enumerate_class(r: Partition, s: Partition) -> Iterator[BinaryMatrix]:
@@ -241,8 +241,7 @@ def min_cover_value(a: BinaryMatrix, t: int) -> tuple[int, CoverSpec]:
 def brute_min_t_term_rank(r: Partition, s: Partition, t: int) -> int:
     """Minimum t-term rank over the class, by full enumeration."""
     t = positive_integer(t, "t")
-    if not is_nonempty(r, s):
-        raise EmptyClass(f"no matrix has row sums {r.parts} and column sums {s.parts}")
+    require_nonempty(r, s)
     return min(brute_t_term_rank(a, t) for a in enumerate_class(r, s))
 
 
@@ -278,8 +277,7 @@ def find_uniform_minimizer(
         (budget,) = exact_integers((budget,), "budget")
         if budget < 0:
             raise ValueError("budget must be nonnegative")
-    if not is_nonempty(r, s):
-        raise EmptyClass(f"no matrix has row sums {r.parts} and column sums {s.parts}")
+    require_nonempty(r, s)
     r1 = r.parts[0] if r.parts else 1
     t_max = r1 if t_max is None else min(t_max, r1)
     targets = [structure.min_t_term_rank(r, s, k)[0] for k in range(1, t_max + 1)]

@@ -1,14 +1,15 @@
 """Partitions (nonincreasing positive integer vectors), conjugation by one
 walk (`conjugate_counts`), majorization, the Gale-Ryser nonemptiness
-test by one count of the rows (`rows_fit`), the class slot `KeptClass`,
-and the one reader of a prefix cover's (e, f) pair, `prefix_cover`."""
+test by one count of the rows (`rows_fit`) and its guard
+`require_nonempty`, the class slot `KeptClass`, and the one reader of a
+prefix cover's (e, f) pair, `prefix_cover`."""
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import accumulate
 
-from .errors import BadRange
+from .errors import BadRange, EmptyClass
 
 
 class Partition:
@@ -199,6 +200,12 @@ def is_nonempty(r: Partition, s: Partition) -> bool:
     s in O(m + n), whatever the weight: a row longer than n = len(s)
     fails at once."""
     return r.weight == s.weight and rows_fit(r.parts, (0, *accumulate(s.parts)), 0)
+
+
+def require_nonempty(r: Partition, s: Partition) -> None:
+    """Raise EmptyClass, naming both margins, unless `is_nonempty`."""
+    if not is_nonempty(r, s):
+        raise EmptyClass(f"no matrix has row sums {r.parts} and column sums {s.parts}")
 
 
 def margins_realizable(rows: Iterable[int], cols: Iterable[int]) -> bool:

@@ -78,9 +78,9 @@ from itertools import accumulate
 from operator import add
 from typing import NamedTuple
 
-from .errors import BadRange, DimensionTooSmall, EmptyClass, WeightMismatch
+from .errors import BadRange, DimensionTooSmall, WeightMismatch
 from .partition import KeptClass, Partition, conjugate_counts, exact_integers, is_nonempty
-from .partition import positive_integer, prefix_cover
+from .partition import positive_integer, prefix_cover, require_nonempty
 
 
 class StructureTable:
@@ -313,7 +313,7 @@ _kept = KeptClass(_ClassTables)
 def _nonempty_tables(r: Partition, s: Partition) -> _ClassTables:
     tables = _kept.get(r, s)
     if not tables.nonempty:
-        raise EmptyClass(f"no matrix has row sums {r.parts} and column sums {s.parts}")
+        require_nonempty(r, s)
     return tables
 
 

@@ -18,6 +18,7 @@ from ars import (
     min_cover_value,
     t_term_ranks,
 )
+from ars.binmat import cover_sets
 from ars.errors import InvalidInterchange
 from ars.oracle import min_cover_values
 
@@ -370,7 +371,7 @@ def test_cover_spec_validation():
 def test_cover_spec_sizes_are_integers():
     """Partition's rule: an integral float passes and is stored as an
     int; a fraction, a string, None, nan or inf is rejected at once
-    instead of truncated or failing later in row_set."""
+    instead of truncated or failing later in cover_sets."""
     for e, f in ((1.5, 2), (2, 1.9), ("2", 2), (2, "2"), (None, 1), (float("nan"), 1), (1, float("inf"))):
         with pytest.raises(ValueError, match="cover sizes must be integers"):
             CoverSpec(e, f)
@@ -379,7 +380,7 @@ def test_cover_spec_sizes_are_integers():
     cover = CoverSpec(2.0, True)
     assert cover == (2, 1, None, None)
     assert type(cover.e) is int and type(cover.f) is int
-    assert cover.row_set(3) == frozenset({0, 1})
+    assert cover_sets(cover, 3, 3)[0] == frozenset({0, 1})
 
 
 def test_cover_spec_indices_are_integers():
@@ -390,7 +391,7 @@ def test_cover_spec_indices_are_integers():
     cover = CoverSpec(1, 1, rows=(1.0,), cols=[0])
     assert cover == (1, 1, (1,), (0,))
     assert all(type(i) is int for i in cover.rows + cover.cols)
-    assert cover.row_set(2) == frozenset({1})
+    assert cover_sets(cover, 2, 2)[0] == frozenset({1})
     assert is_covered(BinaryMatrix([[1, 0], [1, 1]]), cover)
     for bad in ((0.5,), ("a",), (None,), (1, 1.5)):
         with pytest.raises(ValueError, match="cover rows must be integers"):

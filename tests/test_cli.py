@@ -590,6 +590,8 @@ def test_over_long_integers_exit_two(tmp_path, capsys):
         (["enumerate", "-r", "1", "-s", "1", "--budget", f"-{digits}"], "value " + too_long),
         (["construct-two-cover", "-r", "2,1", "-s", "2,1", *cover],
          "error: bad --cover: E " + too_long),
+        (["construct-two-cover", "-r", "2,1", "-s", "2,1", "--cover", f"1,1,{digits}",
+          "--cover", "1,0"], "error: bad --cover: expected two items E,F, got 3\n"),
     ):
         try:
             code = main(["--json", *argv])

@@ -443,14 +443,59 @@ def test_multi_cover_explicit_sets_match_enumeration(small_classes):
 
 
 def test_multi_cover_range_check():
-    """An off-grid (e, f) pair is BadRange, as in every other layer; a
-    CoverSpec outside the grid is DimensionMismatch."""
+    """An off-grid cover is BadRange in either form, as in every other
+    layer: an (e, f) pair or a CoverSpec outside the grid."""
     for cover in ((2, 0), (0, 2), (-1, 0)):
         with pytest.raises(BadRange):
             multi_cover_feasible(Partition((1,)), Partition((1,)), [cover])
     for cover in (CoverSpec(2, 0), CoverSpec(1, 0, rows=(1,)), CoverSpec(0, 1, cols=(3,))):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(BadRange):
             multi_cover_feasible(Partition((1,)), Partition((1,)), [cover])
+
+
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (lambda m: 5, ValueError),
+        (lambda m: None, ValueError),
+        (lambda m: (1, 2, 3), ValueError),
+        (lambda m: (m + 1, 0), BadRange),
+        (lambda m: CoverSpec(m + 1, 0), BadRange),
+        (lambda m: CoverSpec(1, 0, rows=(m,)), BadRange),
+        (lambda m: (-1, 0), BadRange),
+        (lambda m: CoverSpec(-1, 0), BadRange),
+    ],
+    ids=["int", "none", "triple", "big-pair", "big-spec", "big-index", "neg-pair", "neg-spec"],
+)
+def test_one_cover_contract_for_both_forms(make, error):
+    """Each cover mistake raises one class, the same from
+    multi_cover_feasible and is_covered, whichever form the cover takes:
+    a non-pair is a plain ValueError (never TypeError or AttributeError),
+    and a size or index off the grid is BadRange."""
+    r = s = Partition((1, 1))
+    a = BinaryMatrix([[1, 0], [0, 1]])
+    with pytest.raises(ValueError) as caught:
+        multi_cover_feasible(r, s, [make(a.m)])
+    assert type(caught.value) is error
+    with pytest.raises(ValueError) as caught:
+        is_covered(a, make(a.m))
+    assert type(caught.value) is error
+
+
+@given(matrices(max_m=5, max_n=5), st.data())
+@settings(max_examples=60)
+def test_pairs_and_prefix_cover_specs_read_alike(a, data):
+    """An (e, f) pair and CoverSpec.prefix(e, f) are one cover: is_covered
+    answers alike at every (e, f) on the grid, and multi_cover_feasible
+    returns the same witness for either."""
+    for e in range(a.m + 1):
+        for f in range(a.n + 1):
+            assert is_covered(a, (e, f)) == is_covered(a, CoverSpec.prefix(e, f))
+    r, s = Partition.from_loose(a.row_sums), Partition.from_loose(a.col_sums)
+    e = data.draw(st.integers(0, len(r)))
+    f = data.draw(st.integers(0, len(s)))
+    witness = multi_cover_feasible(r, s, [(e, f)])
+    assert witness == multi_cover_feasible(r, s, [CoverSpec.prefix(e, f)])
 
 
 def test_multi_cover_sizes_are_exact_pairs():
