@@ -4,11 +4,11 @@ covers."""
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import product
+from itertools import compress, product
 from typing import NamedTuple
 
 from .errors import BadRange, InvalidInterchange
-from .partition import Partition, decimal_integer, exact_integers, prefix_cover
+from .partition import Partition, decimal_integer, exact_integers, prefix_cover, shown
 
 # maps each entry equal to 0 or 1 (False, True, 1.0, ...) to that int
 _BIT = {0: 0, 1: 1}.__getitem__
@@ -31,21 +31,20 @@ class BinaryMatrix:
     ``{"m":..,"n":..,"rows":[[..],..]}``.  Either form must declare the
     shape of its rows, and a matrix with no rows is 0x0.
 
-    Two more slots are caches that no value behaviour sees.
-    ``_row_bits`` holds each row as a column bitmask (bit j set iff the
-    row has a 1 in column j), a tuple set only by a builder that already
-    knows the bits, such as class enumeration, and None otherwise; the
-    rank kernel starts from it instead of reading the rows.  Such a
-    builder may leave the rows unbuilt (``_rows`` None): the first read
-    of ``rows`` decodes them from the bitmasks, eight columns at a time
-    from the constant table `_BYTE_ROWS`, and keeps them.  Every other
-    builder stores its rows at once.
+    Each row is stored as a column bitmask in ``_row_bits`` (bit j set
+    iff the row has a 1 in column j), whichever builder made the matrix;
+    equality and hashing read the shape and these bitmasks, and the rank
+    kernel of `ars.flow` starts from them.  ``_rows`` is a cache of the
+    row tuples: the constructor stores the grid it checked, and every
+    other builder leaves it None, so the first read of ``rows`` decodes
+    the bitmasks, eight columns at a time from the constant table
+    `_BYTE_ROWS`, and keeps the rows.
     ``_rank_state`` belongs to `ars.flow`: it holds the warm
     t-term-rank kernel of the matrix once the matrix is ranked (None
-    before); enumerated members of one class that are row permutations
-    of each other hold the same kernel, since their ranks are equal.
-    Equality, hashing, repr, the JSON and text forms, pickling and
-    copying ignore both; a copy starts without them.
+    before); matrices of one class that are row permutations of each
+    other hold the same kernel, since their ranks are equal.  Repr, the
+    JSON and text forms, pickling and copying read only the rows; a copy
+    starts without the kernel.
     """
 
     __slots__ = ("_rows", "m", "n", "row_sums", "col_sums", "_row_bits", "_rank_state")
@@ -60,24 +59,26 @@ class BinaryMatrix:
         n = len(grid[0]) if grid else 0
         if any(len(row) != n for row in grid):
             raise ValueError("ragged rows")
-        self._store(grid, tuple(map(sum, grid)), tuple(map(sum, zip(*grid))))
+        weights = [1 << j for j in range(n)]
+        row_bits = tuple(sum(compress(weights, row)) for row in grid)
+        self._store(row_bits, tuple(map(sum, grid)), tuple(map(sum, zip(*grid))), grid)
 
     def _store(
-        self, rows: tuple | None, row_sums: tuple, col_sums: tuple, row_bits: tuple | None = None
-    ) -> None:
-        """Set every slot as given; the shape is len(row_sums) by
-        len(col_sums).  Only the constructor checks rows and margins
-        first; the unchecked builders vouch for their own, and for the
-        row bitmasks when they pass them.  rows may be None only when
-        row_bits is given: the rows are then decoded from it on first
-        read."""
-        self._rows = rows
+        self, row_bits: tuple, row_sums: tuple, col_sums: tuple, rows: tuple | None = None
+    ) -> "BinaryMatrix":
+        """Set every slot as given and return the matrix; the shape is
+        len(row_sums) by len(col_sums).  Only the constructor checks its
+        grid and margins first; the unchecked builders vouch for their own
+        bitmasks and margins.  Without rows, they are decoded from
+        row_bits on first read."""
+        self._row_bits = row_bits
         self.m = len(row_sums)
         self.n = len(col_sums)
         self.row_sums = row_sums
         self.col_sums = col_sums
-        self._row_bits = row_bits
+        self._rows = rows
         self._rank_state = None
+        return self
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
@@ -110,14 +111,11 @@ class BinaryMatrix:
         which checks every entry."""
         if not row_sums:
             col_sums = ()
-        n = len(col_sums)
-        grid = [[0] * n for _ in row_sums]
+        row_bits = [0] * len(row_sums)
         for j, rows in enumerate(col_rows):
             for i in rows:
-                grid[i][j] = 1
-        a = cls.__new__(cls)
-        a._store(tuple(map(tuple, grid)), tuple(row_sums), tuple(col_sums))
-        return a
+                row_bits[i] |= 1 << j
+        return cls.__new__(cls)._store(tuple(row_bits), tuple(row_sums), tuple(col_sums))
 
     @classmethod
     def from_text(cls, text: str) -> "BinaryMatrix":
@@ -174,11 +172,11 @@ class BinaryMatrix:
         return self.rows[i]
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, BinaryMatrix) and self.rows == other.rows \
-            and self.m == other.m and self.n == other.n
+        return isinstance(other, BinaryMatrix) and self.n == other.n \
+            and self._row_bits == other._row_bits
 
     def __hash__(self) -> int:
-        return hash((self.m, self.n, self.rows))
+        return hash((self.n, self._row_bits))
 
     def __reduce__(self):
         # rebuild from the rows alone, without the rank kernel state; fresh row
@@ -253,21 +251,24 @@ def apply_interchange(a: BinaryMatrix, i1: int, i2: int, j1: int, j2: int) -> Bi
     """Swap the 2x2 submatrix on rows {i1,i2}, columns {j1,j2} between the
     patterns [[1,0],[0,1]] and [[0,1],[1,0]].  Row and column sums are
     preserved, so the result stays in the same class and keeps a's
-    margins; only rows i1 and i2 are copied."""
+    margins; only the bitmasks of rows i1 and i2 change.  The indices
+    follow `partition.exact_integers` (2.0 passes as 2; 2.5 raises
+    ValueError) and are grid positions, as in a cover: a negative index,
+    or one at or past m or n, raises BadRange."""
+    i1, i2, j1, j2 = exact_integers((i1, i2, j1, j2), "interchange indices")
+    if not (0 <= i1 < a.m and 0 <= i2 < a.m and 0 <= j1 < a.n and 0 <= j2 < a.n):
+        raise BadRange(f"interchange ({i1},{i2},{j1},{j2}) out of range for {a.m}x{a.n}")
     if i1 == i2 or j1 == j2:
         raise InvalidInterchange("interchange needs two distinct rows and columns")
-    sub = (a.rows[i1][j1], a.rows[i1][j2], a.rows[i2][j1], a.rows[i2][j2])
+    bits = list(a._row_bits)
+    top, low = bits[i1], bits[i2]
+    sub = (top >> j1 & 1, top >> j2 & 1, low >> j1 & 1, low >> j2 & 1)
     if sub not in ((1, 0, 0, 1), (0, 1, 1, 0)):
         raise InvalidInterchange(f"submatrix {sub} is not an interchangeable pattern")
-    rows = list(a.rows)
-    for i in (i1, i2):  # each row trades its bit in j1 for its bit in j2
-        row = list(rows[i])
-        row[j1] ^= 1
-        row[j2] ^= 1
-        rows[i] = tuple(row)
-    b = BinaryMatrix.__new__(BinaryMatrix)
-    b._store(tuple(rows), a.row_sums, a.col_sums)
-    return b
+    # each row trades its bit in j1 for its bit in j2
+    bits[i1] ^= 1 << j1 | 1 << j2
+    bits[i2] ^= 1 << j1 | 1 << j2
+    return BinaryMatrix.__new__(BinaryMatrix)._store(tuple(bits), a.row_sums, a.col_sums)
 
 
 def cover_sets(
@@ -286,7 +287,7 @@ def cover_sets(
     rows = range(e) if rows is None else rows
     cols = range(f) if cols is None else cols
     if max(rows, default=-1) >= m or max(cols, default=-1) >= n:
-        raise BadRange(f"cover {cover!r} out of range for {m}x{n}")
+        raise BadRange(f"cover {shown(cover)} out of range for {m}x{n}")
     return frozenset(rows), frozenset(cols)
 
 

@@ -287,7 +287,7 @@ def _reduce_to_normal(a: BinaryMatrix, shift: _Shift) -> list[Interchange]:
         return []
     normal, masks = shift.cols, shift.masks
     powers = [1 << i for i in range(max(a.m, a.n))]
-    rows = [sum(compress(powers, row)) for row in a.rows]
+    rows = list(a._row_bits)
     cols = [sum(compress(powers, col)) for col in zip(*a.rows)]
     path: list[Interchange] = []
     for k in range(a.n - 1, -1, -1):

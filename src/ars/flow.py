@@ -8,26 +8,27 @@ in the `_rank_state` slot `BinaryMatrix` keeps for this module, so each
 step runs once per matrix however its ranks are read; once the rank
 profile is final the kernel releases its arrays and keeps only the
 ranks, and `t_term_rank` reads any t from them without a step.  The
-kernel starts from the row bitmasks a matrix carries in its `_row_bits`
-slot when its builder knew them (every member `enumerate_class` yields
-does), and such a member builds its row tuples only when `rows` is
-read, so a sweep of a class never builds rows.
+kernel starts from the row bitmasks every matrix keeps in its
+`_row_bits` slot, and reads no row tuples, so a sweep of a class, whose
+members `enumerate_class` builds from their bitmasks alone, never
+builds rows.
 
 Permuting the rows of a matrix changes none of its t-term ranks, and
 members of a class with repeated row sums are often row permutations of
-each other.  So enumerated members (those carrying `_row_bits`) share
-one kernel per multiset of row bitmasks, the sorted tuple of their masks:
-each step runs once per row multiset of the class.  The memo is the
-dict of a `partition.KeptClass` slot, keyed by the margin tuples that
-the members of one walk share, so a member's first read costs an
-identity check and one lookup, and a rank another member has stepped
-is read from the kernel's list with no further call.  A class at
-`_SHARED_CAP` (4,096) kernels empties its dict before it adds one,
+each other.  So the matrices of one class share one kernel per multiset
+of row bitmasks, the sorted tuple of their masks, whichever builder
+made them: each step runs once per row multiset of the class.  The
+memo is the dict of a `partition.KeptClass` slot, keyed by the margin
+tuples that the members of one walk share, so a member's first read
+costs an identity check and one lookup, and a rank another member has
+stepped is read from the kernel's list with no further call.  A class
+at `_SHARED_CAP` (4,096) kernels empties its dict before it adds one,
 which frees the kernels no matrix holds.  Measured with tracemalloc, a
 kernel and its key take about 0.3 KB once final and 0.75 KB partly
 stepped at 6x9, so at such sizes the memo stays under about 3 MB; the
-size of a kernel grows with m + n.  Matrices built by the constructor
-never enter the memo and keep a kernel of their own.
+size of a kernel grows with m + n, and 4,000 partly stepped kernels of
+distinct 60x160 matrices of one class held 10.3 MB once the matrices
+were dropped, until the next class or `clear_kept_classes()`.
 
 `FlowNetwork` is the one transportation network over unit cells
 (Edmonds-Karp): it serves `feasible_bounded`, and through
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import compress, count
+from itertools import count
 
 from .binmat import BinaryMatrix, CoverSpec, cover_sets
 from .errors import DimensionMismatch
@@ -128,11 +129,11 @@ def build_t_rank_network(a: BinaryMatrix, t: int) -> FlowNetwork:
 
 class _RankKernel:
     """The warm b-matching state of one matrix, kept in the matrix's
-    `_rank_state` slot so that each kernel step runs once per matrix, or
-    once per row multiset among enumerated members of one class (see
-    `_kernel`): row permutations have equal ranks for every t, so only
-    `ranks` is read from outside, and owner and load follow the row order
-    of the member that created the kernel.
+    `_rank_state` slot so that each kernel step runs once per row
+    multiset among the matrices of one class (see `_kernel`): row
+    permutations have equal ranks for every t, so only `ranks` is read
+    from outside, and owner and load follow the row order of the matrix
+    that created the kernel.
 
     A bipartite b-matching over bitmask rows: owner[j] is the row that
     selected column j (-1 while j is free) and load[i] counts the columns
@@ -153,19 +154,14 @@ class _RankKernel:
     None).  For the same reason a step stops searching for augmenting
     paths as soon as `free & reach` is empty.
 
-    The row masks come from the matrix's `_row_bits` slot when its
-    builder set it (class enumeration does), and are computed from the
-    rows otherwise; the kernel only reads adj, so it shares that tuple.
+    adj is the matrix's own `_row_bits` tuple, which the kernel only
+    reads.
     """
 
     __slots__ = ("adj", "owner", "load", "free", "reach", "ranks", "top")
 
     def __init__(self, a: BinaryMatrix):
-        adj = a._row_bits
-        if adj is None:
-            weights = [1 << j for j in range(a.n)]
-            adj = [sum(compress(weights, row)) for row in a.rows]
-        self.adj = adj
+        self.adj = adj = a._row_bits
         self.owner = [-1] * a.n
         self.load = [0] * a.m
         self.free = (1 << a.n) - 1
@@ -244,15 +240,12 @@ _SHARED_CAP = 4096
 def _kernel(a: BinaryMatrix) -> _RankKernel:
     """The rank kernel of a matrix not ranked before, found or created.
 
-    An enumerated member (`_row_bits` set) takes the kernel of any member
-    of its class ranked before it with the same sorted row bitmasks, a
+    A matrix takes the kernel of any matrix of its class (its row and
+    column sums) ranked before it with the same sorted row bitmasks, a
     row permutation of it, from the dict `_kept` holds for its margins;
     a class at `_SHARED_CAP` kernels empties its dict before it adds
-    one.  Any other matrix gets its own.
+    one.
     """
-    if a._row_bits is None:
-        kernel = a._rank_state = _RankKernel(a)
-        return kernel
     r, s, kernels = _kept.entry  # one read, see KeptClass
     if r is not a.row_sums or s is not a.col_sums:
         kernels = _kept.get(a.row_sums, a.col_sums)
@@ -273,8 +266,8 @@ def t_term_ranks(a: BinaryMatrix) -> Iterator[int]:
     step t-1 (see `_RankKernel`).  The kernel state lives on the matrix,
     so each step runs once per matrix however many generators and
     `t_term_rank` calls read it, and a value is computed only when it is
-    taken.  Enumerated members of one class that are row permutations of
-    each other share one kernel (see `_kernel`), so a class sweep steps
+    taken.  Matrices of one class that are row permutations of each
+    other share one kernel (see `_kernel`), so a class sweep steps
     once per row multiset.  Once no row is at quota, t reaches the
     largest row sum, or every nonzero column is selected, the rank
     repeats; the kernel then releases its arrays and keeps only the
@@ -291,13 +284,13 @@ def t_term_rank(a: BinaryMatrix, t: int) -> int:
     and at most t per row.
 
     Read from the rank kernel kept on a, which `t_term_ranks` shares:
-    each step up to t runs once per matrix (once per row multiset among
-    enumerated members of one class, whose row permutations share a
-    kernel, see `_kernel`), and the profile is final by the step at the
-    largest row sum, so any t costs at most that many steps (one for a
-    zero matrix).  A rank whose step has run, or any rank once the
-    profile is final, is read straight from the kernel's list, also on a
-    member's first read (after one `_kernel` lookup).  t follows
+    each step up to t runs once per row multiset among the matrices of
+    one class, whose row permutations share a kernel (see `_kernel`),
+    and the profile is final by the step at the largest row sum, so any
+    t costs at most that many steps (one for a zero matrix).  A rank
+    whose step has run, or any rank once the profile is final, is read
+    straight from the kernel's list, also on a member's first read
+    (after one `_kernel` lookup).  t follows
     `partition.exact_integers` (2.0 passes as 2; 1.5 raises ValueError);
     an int t costs one class test and one comparison.
     """
@@ -321,7 +314,9 @@ def feasible_bounded(
     Solved as a transportation flow over the cells of the mask (see
     `FlowNetwork`): source->row i with capacity R_i, a unit edge for
     each cell, column j->sink with capacity S_j; a witness exists iff
-    the max flow moves the full weight.
+    the max flow moves the full weight.  Such a flow fills every row and
+    column, so the witness is built from the bitmasks of its cell edges
+    with margins (r, s), unchecked.
     """
     m, n = len(r), len(s)
     if len(c) != m or any(len(row) != n for row in c):
@@ -333,11 +328,11 @@ def feasible_bounded(
     net = FlowNetwork(r.parts, s.parts, [(i, j) for i in range(m) for j in range(n) if c[i][j]])
     if net.max_flow() != r.weight:
         return None
-    grid = [[0] * n for _ in range(m)]
+    row_bits = [0] * m
     for u, v, _, flow in net.edges():
         if flow and u != net.source and v != net.sink:
-            grid[u - 1][v - 1 - m] = 1
-    return BinaryMatrix(grid)
+            row_bits[u - 1] |= 1 << (v - 1 - m)
+    return BinaryMatrix.__new__(BinaryMatrix)._store(tuple(row_bits), r.parts, s.parts)
 
 
 def multi_cover_feasible(

@@ -50,15 +50,13 @@ def enumerate_class(r: Partition, s: Partition) -> Iterator[BinaryMatrix]:
     The walk keeps only the residual row sums and each row's column
     bitmask, updated as it chooses and undoes columns: at a node of depth
     n-2 each row's possible masks are found once, and each member picks
-    among them.  A member is built from its masks alone and carries them
-    in the ``_row_bits`` slot, from which the rank kernel starts, and by
-    which `ars.flow` lets members that are row permutations of each other
-    share one kernel; its row tuples are built on the first read of
-    ``rows`` (see `BinaryMatrix`), so a sweep that only ranks members
-    never builds them.  Nothing is checked, since the search makes every
-    entry 0/1 and the margins exactly (r, s).  Memory is O(mn) whatever
-    the class size.  A caller that wants only a prefix takes it with
-    itertools.islice.
+    among them.  A member is built from its masks alone, the form every
+    `BinaryMatrix` stores, from which the rank kernel starts; its row
+    tuples are built on the first read of ``rows``, so a sweep that only
+    ranks members never builds them.  Nothing is checked, since the
+    search makes every entry 0/1 and the margins exactly (r, s).  Memory
+    is O(mn) whatever the class size.  A caller that wants only a prefix
+    takes it with itertools.islice.
     """
     m, n = len(r), len(s)
     if not is_nonempty(r, s):
@@ -66,9 +64,7 @@ def enumerate_class(r: Partition, s: Partition) -> Iterator[BinaryMatrix]:
     rp, sp = r.parts, s.parts
     if n < 2:
         # one column takes every row (n = 0 only in the 0x0 class)
-        a = BinaryMatrix.__new__(BinaryMatrix)
-        a._store(None, rp, sp, (1,) * m)
-        yield a
+        yield BinaryMatrix.__new__(BinaryMatrix)._store((1,) * m, rp, sp)
         return
     rr = list(rp)
     bits = [0] * m
@@ -101,9 +97,7 @@ def enumerate_class(r: Partition, s: Partition) -> Iterator[BinaryMatrix]:
                 row_bits = base[:]
                 for i in pick:
                     row_bits[i] = alt[i]
-                a = BinaryMatrix.__new__(BinaryMatrix)
-                a._store(None, rp, sp, tuple(row_bits))
-                yield a
+                yield BinaryMatrix.__new__(BinaryMatrix)._store(tuple(row_bits), rp, sp)
         # advance to the next choice that keeps the residual realizable
         while stack:
             j = len(chosen)

@@ -1,8 +1,9 @@
 """Partitions (nonincreasing positive integer vectors), conjugation by one
 walk (`conjugate_counts`), majorization, the Gale-Ryser nonemptiness
 test by one count of the rows (`rows_fit`) and its guard
-`require_nonempty`, the class slot `KeptClass`, and the one reader of a
-prefix cover's (e, f) pair, `prefix_cover`."""
+`require_nonempty`, the class slot `KeptClass`, the one reader of a
+prefix cover's (e, f) pair, `prefix_cover`, and `shown`, which keeps an
+input's repr in an error message short."""
 
 from __future__ import annotations
 
@@ -28,9 +29,9 @@ class Partition:
         ps = exact_integers(tuple(parts), "parts")
         for a, b in zip(ps, ps[1:]):
             if a < b:
-                raise ValueError(f"parts must be nonincreasing, got {ps}")
+                raise ValueError(f"parts must be nonincreasing, got {shown(ps)}")
         if ps and ps[-1] < 1:
-            raise ValueError(f"parts must be positive, got {ps}")
+            raise ValueError(f"parts must be positive, got {shown(ps)}")
         self.parts = ps
         self.weight = sum(ps)
         self._hash = hash(ps)
@@ -82,8 +83,23 @@ def exact_integers(given: tuple, what: str) -> tuple[int, ...]:
     except (TypeError, ValueError, OverflowError):
         ints = None
     if ints != given:
-        raise ValueError(f"{what} must be integers, got {given!r}")
+        raise ValueError(f"{what} must be integers, got {shown(given)}")
     return ints
+
+
+def shown(value) -> str:
+    """repr(value) for an error message when it is at most 80
+    characters, else its first 40 characters and the type of value with
+    its length (its repr's length if it has none), so that no message
+    echoes a whole input."""
+    text = repr(value)
+    if len(text) <= 80:
+        return text
+    try:
+        size = f"length {len(value)}"
+    except TypeError:
+        size = f"repr length {len(text)}"
+    return f"{text[:40]}... ({type(value).__name__} of {size})"
 
 
 def prefix_cover(cover, m: int, n: int) -> tuple[int, int]:
@@ -94,7 +110,7 @@ def prefix_cover(cover, m: int, n: int) -> tuple[int, int]:
     try:
         e, f = cover
     except (TypeError, ValueError):
-        raise ValueError(f"a cover is an (e, f) pair, got {cover!r}") from None
+        raise ValueError(f"a cover is an (e, f) pair, got {shown(cover)}") from None
     if e.__class__ is not int or f.__class__ is not int:
         e, f = exact_integers((e, f), "cover sizes")
     if not (0 <= e <= m and 0 <= f <= n):

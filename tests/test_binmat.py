@@ -13,13 +13,14 @@ from ars import (
     Partition,
     apply_interchange,
     enumerate_class,
+    feasible_bounded,
     in_class,
     is_covered,
     min_cover_value,
     t_term_ranks,
 )
 from ars.binmat import cover_sets
-from ars.errors import InvalidInterchange
+from ars.errors import BadRange, InvalidInterchange
 from ars.oracle import min_cover_values
 
 from helpers import matrices
@@ -94,20 +95,21 @@ def test_ranking_leaves_the_value_unchanged():
 
 
 def test_row_bits_leave_the_value_unchanged():
-    """Only a builder that knows the row bitmasks sets them; equality,
-    hashing, repr, the JSON and text forms, pickling and copying ignore
-    them, and clones start without them."""
+    """Every builder stores the row bitmasks, the enumerated member and
+    the constructor's matrix of its rows alike; hashing, repr, the JSON
+    and text forms, pickling and copying give both the same value, and
+    clones store the same bitmasks."""
     a = next(enumerate_class(Partition((2, 1, 1)), Partition((2, 1, 1))))
     plain = BinaryMatrix(a.rows)
-    assert a._row_bits == (0b011, 0b001, 0b100) and plain._row_bits is None
+    assert a._row_bits == (0b011, 0b001, 0b100) == plain._row_bits
 
     def value(x):
         return hash(x), repr(x), x.to_json_obj(), x.to_text(), pickle.dumps(x)
 
     assert a == plain and value(a) == value(plain)
     for clone in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
-        assert clone == a and value(clone) == value(a) and clone._row_bits is None
-    assert apply_interchange(a, 0, 2, 0, 2)._row_bits is None
+        assert clone == a and value(clone) == value(a) and clone._row_bits == a._row_bits
+    assert apply_interchange(a, 0, 2, 0, 2)._row_bits == (0b110, 0b001, 0b001)
 
 
 def spelled(a):
@@ -151,7 +153,7 @@ def mask_born(bits, n):
     unbuilt."""
     a = BinaryMatrix.__new__(BinaryMatrix)
     col_sums = tuple(sum(mask >> j & 1 for mask in bits) for j in range(n))
-    a._store(None, tuple(mask.bit_count() for mask in bits), col_sums, tuple(bits))
+    a._store(tuple(bits), tuple(mask.bit_count() for mask in bits), col_sums)
     return a
 
 
@@ -181,6 +183,47 @@ def test_wide_unread_rows_match_the_constructor():
         for view in views:
             a = make()
             assert a._rows is None and view(a) == view(plain), (a.n, a._row_bits)
+
+
+def row_masks(rows):
+    return tuple(sum(v << j for j, v in enumerate(row)) for row in rows)
+
+
+def pickled(a):
+    return pickle.loads(pickle.dumps(a))
+
+
+@given(matrices(max_m=5, max_n=9, min_m=0, min_n=0), st.data())
+@settings(max_examples=80)
+def test_every_builder_stores_the_row_bitmasks(a, data):
+    """Whichever builder made a matrix (the constructor, from_column_sets,
+    apply_interchange, class enumeration, a pickle or copy clone, or a
+    feasible_bounded witness), its _row_bits spell its rows, and == and
+    hash agree with equality of shape and rows; m-by-0 and 0x0 matrices
+    included."""
+    cols = [[i for i in range(a.m) if a.rows[i][j]] for j in range(a.n)]
+    built = [a, BinaryMatrix.from_column_sets(cols, a.row_sums, a.col_sums)]
+    spots = [
+        (i1, i2, j1, j2)
+        for i1, i2 in combinations(range(a.m), 2)
+        for j1, j2 in combinations(range(a.n), 2)
+        if a.rows[i1][j1] == a.rows[i2][j2] != a.rows[i1][j2] == a.rows[i2][j1]
+    ]
+    if spots:
+        built.append(apply_interchange(a, *data.draw(st.sampled_from(spots))))
+    r, s = Partition.from_loose(a.row_sums), Partition.from_loose(a.col_sums)
+    built.append(data.draw(st.sampled_from(list(islice(enumerate_class(r, s), 20)))))
+    built.append(feasible_bounded(r, s, [[1] * len(s)] * len(r)))
+    built += [clone(b) for b in built for clone in (copy.copy, copy.deepcopy, pickled)]
+    for b in built:
+        assert len(b._row_bits) == b.m and all(0 <= mask < 1 << b.n for mask in b._row_bits)
+        assert b._row_bits == row_masks(b.rows)
+        assert in_class(b, map(sum, b.rows), map(sum, zip(*b.rows)))
+    assert built[1] == a and built[1].rows == a.rows
+    for x in built:
+        for y in built:
+            same = (x.m, x.n, x.rows) == (y.m, y.n, y.rows)
+            assert (x == y) == same and (not same or hash(x) == hash(y))
 
 
 def test_cached_margins():
@@ -282,6 +325,20 @@ def test_interchange_rejects_other_patterns():
         apply_interchange(BinaryMatrix([[1, 1], [1, 0]]), 0, 1, 0, 1)
     with pytest.raises(InvalidInterchange):
         apply_interchange(BinaryMatrix([[1, 0], [0, 1]]), 0, 0, 0, 1)
+
+
+def test_interchange_indices_are_grid_positions():
+    """The four indices follow exact_integers and must lie on the grid,
+    as a cover's do: a negative index does not wrap to the last rows or
+    columns, and one off the grid is BadRange, not IndexError."""
+    a = BinaryMatrix([[1, 0], [0, 1], [1, 0]])
+    assert apply_interchange(a, 0, 1.0, 0, 1) == BinaryMatrix([[0, 1], [1, 0], [1, 0]])
+    for idx in ((-2, -1, 0, 1), (1, 2, -1, 0), (0, 3, 0, 1), (1, 2, 0, 2), (3, 3, 2, 2)):
+        with pytest.raises(BadRange, match=r"^interchange \(.*\) out of range for 3x2$"):
+            apply_interchange(a, *idx)
+    for idx in ((0, 1, 0, 2.5), (0.5, 1, 0, 1), (0, "1", 0, 1), (0, 1, None, 1)):
+        with pytest.raises(ValueError, match="^interchange indices must be integers, got "):
+            apply_interchange(a, *idx)
 
 
 @given(matrices(max_m=4, max_n=4))

@@ -602,6 +602,18 @@ def test_over_long_integers_exit_two(tmp_path, capsys):
         assert "set_int_max_str_digits" not in err and digits not in err
 
 
+def test_over_long_partitions_exit_two_with_a_short_message(capsys):
+    """A partition of 5,000 parts that is not nonincreasing is shown by
+    the start of its repr and its length; its parts are not all echoed."""
+    assert main(["nonempty", "-r", ",".join(map(str, range(1, 5001))), "-s", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.encode()) < 200
+    assert err == (
+        "error: bad -r: parts must be nonincreasing, got (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, "
+        "... (tuple of length 5000)\n"
+    )
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "ars", "min-rank", "-r", R_REF, "-s", S_REF, "-t", "1"],

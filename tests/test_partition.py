@@ -7,9 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ars import Partition, conjugate, is_nonempty, iter_partitions, majorized_by, margins_realizable
-from ars import construct, flow, structure
+from ars import CoverSpec, construct, flow, structure
+from ars.binmat import cover_sets
 from ars.oracle import enumerate_class
 from ars.partition import KeptClass, clear_kept_classes, conjugate_counts, decimal_integer
+from ars.partition import prefix_cover
 
 from helpers import matrices, partitions
 
@@ -339,3 +341,29 @@ def test_clear_kept_classes_empties_every_layer():
     assert all(kept.entry == (None, None, None) for kept in layers)
     assert queries() == warm
     assert slot.get(r, s) is not None and len(built) == 2
+
+
+LONG = tuple(range(100000))
+PAIR = Partition((2, 1)), Partition((2, 1))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Partition(LONG),  # not nonincreasing
+        lambda: Partition([0] * 100000),  # not positive
+        lambda: Partition([0.5] * 100000),  # not integers
+        lambda: prefix_cover(LONG, 2, 2),  # not a pair
+        lambda: flow.multi_cover_feasible(*PAIR, [LONG]),
+        lambda: cover_sets(CoverSpec(len(LONG), 0, rows=LONG), 2, 2),  # off the grid
+        lambda: flow.multi_cover_feasible(*PAIR, [CoverSpec(len(LONG), 0, rows=LONG)]),
+    ],
+    ids=["nonincreasing", "positive", "integers", "pair", "pair-flow", "cover", "cover-flow"],
+)
+def test_over_long_inputs_give_short_messages(call):
+    """A usage error shows a long input by the start of its repr, its
+    type and its length; a short input keeps its whole repr (see the
+    exact texts above)."""
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert len(str(exc.value)) < 200 and "... (" in str(exc.value)
