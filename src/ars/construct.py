@@ -46,7 +46,6 @@ a path leg from it is empty."""
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import compress
 from typing import NamedTuple
 
 from .binmat import BinaryMatrix
@@ -288,7 +287,12 @@ def _reduce_to_normal(a: BinaryMatrix, shift: _Shift) -> list[Interchange]:
     normal, masks = shift.cols, shift.masks
     powers = [1 << i for i in range(max(a.m, a.n))]
     rows = list(a._row_bits)
-    cols = [sum(compress(powers, col)) for col in zip(*a.rows)]
+    cols = [0] * a.n
+    for i, bits in enumerate(rows):  # the set bits of each row mask
+        while bits:
+            low = bits & -bits
+            cols[low.bit_length() - 1] |= powers[i]
+            bits ^= low
     path: list[Interchange] = []
     for k in range(a.n - 1, -1, -1):
         have = cols[k]

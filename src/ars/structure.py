@@ -22,9 +22,10 @@ phi[k][l] = min over i1 <= k, j1 <= l of A[i1][l] + B[k][j1] + (k-i1)(l-j1),
 and phi <= t everywhere.  With x = k - i1 the minimum over j1 is a lower
 envelope of lines in x, which the lower hull of the points (j1,
 B[k][j1]) gives for every x at once, so one cell costs O(k + l) and the
-whole table O(mn(m+n)).  Walking l down a row drops one point from the
-hull at a time, so each row builds its hull once.  psi uses the same
-envelope.
+whole table O(mn(m+n)).  The hull is built left to right by Andrew's
+monotone chain (1979), with pushes and pops alone: walking l up a row
+adds one point per cell, so each row builds its hull once.  psi uses the
+same envelope.
 
 Cover feasibility is upward closed in both e and f, so it is fully
 described by the frontier front[e], the least feasible f for e rows;
@@ -45,20 +46,21 @@ Each condition holds at every feasible (e, f):
 
 So lo <= front[e] <= front[e-1], and each test is O(1) from the prefix
 sums of S and the suffix sums of R.  When lo = front[e-1] the row needs
-no probe of phi[e][f] == t[e][f].  Otherwise one probe at lo settles the
-row when it holds, and only when it fails does the row walk down from
-front[e-1], stopping above lo.  So a row costs no probe when its floor
-is front[e-1], one when its floor is its frontier, and at most one more
-than the unseeded walk when its floor lies below its frontier: about
-one probe per row whose frontier moves, plus the fallbacks.  On 2,000
-random classes of 12x12 to 27x25 that was 21,024 probes over 38,024
-rows, where the unseeded walk took 71,737; 52 rows fell back.
+no probe of phi[e][f] == t[e][f].  Otherwise the row walks f up from lo
+until a probe holds or f reaches front[e-1], which is known to be
+feasible.  Feasibility is upward closed in f, so the walk stops at
+front[e]: it probes every f from lo up to front[e] except front[e-1].
+So a row whose floor is its frontier costs one probe: about one probe
+per row whose frontier moves.  On the 2,000 classes that
+`_profile_class` in tests/test_structure.py draws from
+random.Random(2000), cycling through its five shapes 12x12 to 27x25,
+that was 19,205 probes over 38,400 rows, where the walk down from
+front[e-1] with no floor takes 72,400; 54 rows probed more than once.
 
 A row of B is the column minima col_min[j] = t[R*_j][j] up to
-column v = R_{e+1} <= lo, and row e of t after it.  That prefix is the
-same for every row, so one lower hull over col_min serves them all: it
-drops its last points as v falls, and each probed row pushes its tail
-on top and the next row takes it back off by the undo log.
+column v = R_{e+1} <= lo, and row e of t after it.  A probing row builds
+the lower hull of B[e][0..lo] once, and each step up pushes the next
+point of row e of t on its right.  No hull outlives its row.
 
 Every criterion except the full phi table reads the frontier.  The
 tables of the most recent class (t, A, the column minima, the Gale-Ryser
@@ -141,41 +143,29 @@ class StructureTable:
         return {"kind": self.kind, "values": [list(row) for row in self.values]}
 
 
-_Hull = tuple[list[int], list[int], list[tuple[tuple[int, int], ...]]]
+_Hull = tuple[list[int], list[int]]
 
 
 def _extend(hull: _Hull, j0: int, values) -> None:
     """Add the points (j0 + k, values[k]) to the right of the hull, in
-    order.  log[j] records the vertices that point j removed, so
-    `_drop_last` takes the last point back off in amortized O(1).  The
-    last point is always a vertex."""
-    js, vs, log = hull
+    order: Andrew's monotone chain, amortized O(1) a point.  The last
+    point is always a vertex."""
+    js, vs = hull
     for j, v in enumerate(values, j0):
-        gone = ()
         # drop the last vertex while it lies on or above the chord to (j, v)
         while len(js) > 1 and (vs[-1] - vs[-2]) * (j - js[-2]) >= (v - vs[-2]) * (js[-1] - js[-2]):
-            gone = ((js.pop(), vs.pop()), *gone)
-        log.append(gone)
+            js.pop()
+            vs.pop()
         js.append(j)
         vs.append(v)
 
 
-def _lower_hull(values, c: int) -> _Hull:
-    """The lower convex hull of the points (j, values[j]), j = 0..c, as
-    vertex lists js and vs plus the undo log of `_extend`, so a walk
-    down c builds the hull once."""
-    hull: _Hull = ([], [], [])
-    _extend(hull, 0, values[: c + 1])
+def _lower_hull(values) -> _Hull:
+    """The lower convex hull of the points (j, values[j]), as vertex
+    lists js and vs, built left to right."""
+    hull: _Hull = ([], [])
+    _extend(hull, 0, values)
     return hull
-
-
-def _drop_last(hull: _Hull) -> None:
-    js, vs, log = hull
-    js.pop()
-    vs.pop()
-    for j, v in log.pop():
-        js.append(j)
-        vs.append(v)
 
 
 def _envelope(hull: _Hull, top: int) -> list[int]:
@@ -188,7 +178,7 @@ def _envelope(hull: _Hull, top: int) -> list[int]:
     run of x on which E is an arithmetic progression.  O(top + hull
     size).
     """
-    js, vs, _ = hull
+    js, vs = hull
     c = js[-1]
     out: list[int] = []
     x = 0
@@ -250,45 +240,37 @@ class _ClassTables:
     def phi_cell(self, k: int, c: int, hull: _Hull) -> int:
         """phi[k][c] = min over x of A[k-x][c] + E[x], where E[x] is the
         minimum over j1 <= c of B[k][j1] + x(c-j1), from the lower hull
-        of B[k][0..c]: O(k + c).  Walking c down a row drops one point
-        of the hull per cell, so the row builds its hull once."""
+        of B[k][0..c]: O(k + c).  Walking c up a row adds one point to
+        the hull per cell, so the row builds its hull once."""
         return min(map(add, self.a_cols[c][k::-1], _envelope(hull, k)))
 
     @cached_property
     def frontier(self) -> tuple[int, ...]:
         # (0, n) is feasible, and so is (e, front[e-1]) by upward closure
         # in e; with no row covered every column is needed, as no S_j is
-        # 0.  Each row is seeded by its floor lo (see the module
-        # docstring), and the hull holds col_min[0..v-1], v = R_{e+1},
-        # below whatever tail the last probed row pushed on it.
+        # 0.  Each row walks up from its floor lo (see the module
+        # docstring) with the hull of B[e][0..lo].
         t, pref_s, suf_r, s_star, next_r = self.t, self.pref_s, self.suf_r, self.s_star, self.next_r
         m = len(t) - 1
         f = len(t[0]) - 1
         front = [f]
-        hull = _lower_hull(self.col_min, next_r[0] - 1)
-        log = hull[2]
         for e in range(1, m + 1):
-            v = next_r[e]
-            while len(log) > v:
-                _drop_last(hull)
             # the rows below e fit into the first lo columns: the first
             # k = S*_{m-e} columns take m - e each, a later column j S_j
             h = m - e
             k = s_star[h]
             need, spare = suf_r[e], h * k - pref_s[k]
-            lo, base = f, max(s_star[e], v)
+            lo, base = f, max(s_star[e], next_r[e])
             while lo > base and need <= (h * (lo - 1) if lo <= k else spare + pref_s[lo - 1]):
                 lo -= 1
             if lo < f:
                 row = t[e]
-                _extend(hull, v, row[v : lo + 1])
-                if self.phi_cell(e, lo, hull) == row[lo]:
-                    f = lo
-                else:
-                    _extend(hull, lo + 1, row[lo + 1 : f])
-                    while f - 1 > lo and self.phi_cell(e, f - 1, hull) == row[f - 1]:
-                        f -= 1
-                        _drop_last(hull)
+                hull = _lower_hull(self.b_row(e, lo))
+                # B[e][j] = t[e][j] from lo >= R_{e+1} on
+                while lo < f and self.phi_cell(e, lo, hull) != row[lo]:
+                    lo += 1
+                    _extend(hull, lo, (row[lo],))
+                f = lo
             front.append(f)
         return tuple(front)
 
@@ -297,13 +279,12 @@ class _ClassTables:
         rows = []
         n = len(self.col_min) - 1
         for k in range(len(self.t)):
-            b_row = self.b_row(k, n)
-            hull = _lower_hull(b_row, len(b_row) - 1)
+            hull: _Hull = ([], [])
             cells = []
-            for c in range(len(b_row) - 1, -1, -1):
+            for c, v in enumerate(self.b_row(k, n)):
+                _extend(hull, c, (v,))
                 cells.append(self.phi_cell(k, c, hull))
-                _drop_last(hull)
-            rows.append(tuple(reversed(cells)))
+            rows.append(tuple(cells))
         return tuple(rows)
 
 
@@ -354,11 +335,12 @@ def cover_frontier(r: Partition, s: Partition) -> tuple[int, ...]:
 
     Nonincreasing in e.  Each row starts from a Gale-Ryser floor
     lo <= front[e], O(1) per candidate (see the module docstring): it
-    probes phi[e][f] == t[e][f] not at all when lo is front[e-1], once
-    at lo when that holds, and only otherwise walks down from
-    front[e-1] as far as lo + 1.  So it makes one probe per row whose
-    frontier moves plus any fallback walks, each probe one cell of phi
-    in O(e + f), and O((m+n)^2) in all.  Requires a nonempty class.
+    probes phi[e][f] == t[e][f] not at all when lo is front[e-1], and
+    otherwise walks f up from lo until the probe holds or f reaches
+    front[e-1], which is feasible.  Each probe is one cell of phi in
+    O(e + f).  A row climbs at most n columns, but on random classes it
+    makes about one probe per row whose frontier moves, so the frontier
+    costs about O((m+n)^2).  Requires a nonempty class.
     """
     return _nonempty_tables(r, s).frontier
 
@@ -437,7 +419,7 @@ def psi(r: Partition, s: Partition, a: int, b: int, c: int, d: int) -> int:
     pref_s, s_star = tables.pref_s, tables.s_star
     u = [av + (a - i1) * (d - c) for i1, av in enumerate(tables.a_cols[d][: a + 1])]
     w = [k * c + q for k, q in enumerate(tables.suf_r[a : b + 1], a)]
-    env = _envelope(_lower_hull(tables.b_row(b, c), c), b)
+    env = _envelope(_lower_hull(tables.b_row(b, c)), b)
     h = [
         env[b - z] + z * (l - c) - pref_s[l]
         for z in range(b + 1)

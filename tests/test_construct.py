@@ -579,6 +579,21 @@ def test_interchange_path_is_pinned_on_loose_margins():
     assert digest.hexdigest() == "7472289bc104a033eec0cd1ee64e4d815061a314fb5329a50d00e0c6993209fe"
 
 
+def test_interchange_path_leaves_bitmask_rows_undecoded():
+    """interchange_path reads the row bitmasks of a matrix that holds
+    only them, such as a from_column_sets one, and decodes none of its
+    rows; the path is the one from the decoded copy."""
+    r = Partition((9, 8, 8, 7, 6, 6, 5, 5, 4, 3, 2, 2, 1))
+    s = Partition((7, 7, 6, 6, 6, 5, 5, 4, 4, 4, 3, 3, 2, 2, 2))
+    _, (e, f) = min_t_term_rank(r, s, 1)
+    a = modified_ryser(r, s, e, f)  # built by from_column_sets
+    canonical = ryser_canonical(r, s)
+    assert a._rows is None
+    path = interchange_path(a, canonical)
+    assert a._rows is None
+    assert path and path == interchange_path(BinaryMatrix(a.rows), canonical)
+
+
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_interchange_path_replay_random_margins(data):
